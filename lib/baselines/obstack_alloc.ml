@@ -30,24 +30,22 @@ type t = {
   mem : Memory.t;
   os : Os.t;
   cfg : config;
-  pid : int;
+  account : Os.account;
   code_base : int;
   mutable head_chunk : int;  (* most recent chunk base; 0 if none *)
   mutable bump : int;
   mutable limit : int;
   mutable chunks : int;
   mutable live : int;
-  sizes : (int, int) Hashtbl.t;
+  sizes : Size_oracle.t;
 }
-
-let owner t = Printf.sprintf "%s[%d]" name t.pid
 
 let round8 n = (n + 7) land lnot 7
 
 let new_chunk t ~payload_bytes =
   let bytes = Stdlib.max t.cfg.chunk_size (payload_bytes + chunk_header) in
   let base =
-    Os.mmap t.os ~owner:(owner t) ~bytes ~align:64
+    Os.mmap t.os ~account:t.account ~bytes ~align:64
       ~large_pages:t.cfg.large_pages
   in
   (* Chain the new chunk in front and record its limit in its header. *)
@@ -64,14 +62,14 @@ let create ?(config = default_config) ~os ~mem ~pid ~code_base () =
       mem;
       os;
       cfg = config;
-      pid;
+      account = Os.account os ~owner:(Printf.sprintf "%s[%d]" name pid);
       code_base;
       head_chunk = 0;
       bump = 0;
       limit = 0;
       chunks = 0;
       live = 0;
-      sizes = Hashtbl.create 256;
+      sizes = Size_oracle.create ();
     }
   in
   new_chunk t ~payload_bytes:0;
@@ -90,15 +88,15 @@ let malloc t ~size =
   let addr = t.bump in
   t.bump <- addr + n;
   t.live <- t.live + 1;
-  Hashtbl.replace t.sizes addr n;
+  Size_oracle.add t.sizes ~addr ~size:n;
   addr
 
 let free _t ~addr:_ = invalid_arg "obstack does not support per-object free"
 
 let usable_size t ~addr =
-  match Hashtbl.find_opt t.sizes addr with
-  | Some n -> n
-  | None -> invalid_arg "obstack usable_size: unknown object"
+  match Size_oracle.find t.sizes ~addr with
+  | -1 -> invalid_arg "obstack usable_size: unknown object"
+  | n -> n
 
 let realloc t ~addr ~size =
   let old = usable_size t ~addr in
@@ -120,7 +118,7 @@ let free_all t =
       let limit = Memory.load_word t.mem ~addr:(chunk + 8) in
       if next <> 0 then
         (* Keep the oldest chunk (next = 0) as the obstack's base chunk. *)
-        Os.munmap t.os ~owner:(owner t) ~addr:chunk ~bytes:(limit - chunk)
+        Os.munmap t.os ~account:t.account ~addr:chunk ~bytes:(limit - chunk)
       else begin
         t.head_chunk <- chunk;
         t.bump <- chunk + chunk_header;
@@ -132,10 +130,10 @@ let free_all t =
   let chain = t.head_chunk in
   t.chunks <- 1;
   t.live <- 0;
-  Hashtbl.reset t.sizes;
+  Size_oracle.reset t.sizes;
   release chain
 
-let consumption t = Os.claimed_bytes t.os ~owner:(owner t)
+let consumption t = Os.claimed t.account
 
 let live_objects t = t.live
 

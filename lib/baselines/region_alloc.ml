@@ -28,7 +28,7 @@ type t = {
   mem : Memory.t;
   os : Os.t;
   cfg : config;
-  pid : int;
+  account : Os.account;
   code_base : int;
   state : int;  (* address of the allocator's own state words *)
   mutable chunks : int array;  (* chunk base addresses, in mapping order *)
@@ -37,30 +37,26 @@ type t = {
   mutable limit : int;
   mutable bumped_since_free_all : int;
   mutable live : int;
-  sizes : (int, int) Hashtbl.t;  (* untraced size oracle, see .mli *)
+  sizes : Size_oracle.t;  (* untraced size oracle, see .mli *)
 }
-
-let owner t = Printf.sprintf "%s[%d]" name t.pid
 
 let map_chunk t =
   let base =
-    Os.mmap t.os ~owner:(owner t) ~bytes:t.cfg.chunk_size ~align:4096
+    Os.mmap t.os ~account:t.account ~bytes:t.cfg.chunk_size ~align:4096
       ~large_pages:t.cfg.large_pages
   in
   t.chunks <- Array.append t.chunks [| base |];
   base
 
 let create ?(config = default_config) ~os ~mem ~pid ~code_base () =
-  let state =
-    Os.mmap os ~owner:(Printf.sprintf "%s[%d]" name pid) ~bytes:64 ~align:64
-      ~large_pages:false
-  in
+  let account = Os.account os ~owner:(Printf.sprintf "%s[%d]" name pid) in
+  let state = Os.mmap os ~account ~bytes:64 ~align:64 ~large_pages:false in
   let t =
     {
       mem;
       os;
       cfg = config;
-      pid;
+      account;
       code_base;
       state;
       chunks = [||];
@@ -69,7 +65,7 @@ let create ?(config = default_config) ~os ~mem ~pid ~code_base () =
       limit = 0;
       bumped_since_free_all = 0;
       live = 0;
-      sizes = Hashtbl.create 1024;
+      sizes = Size_oracle.create ();
     }
   in
   let base = map_chunk t in
@@ -108,16 +104,16 @@ let malloc t ~size =
   t.bump <- addr + n;
   t.bumped_since_free_all <- t.bumped_since_free_all + n;
   t.live <- t.live + 1;
-  Hashtbl.replace t.sizes addr n;
+  Size_oracle.add t.sizes ~addr ~size:n;
   addr
 
 let free _t ~addr:_ =
   invalid_arg "region allocator does not support per-object free"
 
 let usable_size t ~addr =
-  match Hashtbl.find_opt t.sizes addr with
-  | Some n -> n
-  | None -> invalid_arg "region usable_size: unknown object"
+  match Size_oracle.find t.sizes ~addr with
+  | -1 -> invalid_arg "region usable_size: unknown object"
+  | n -> n
 
 let realloc t ~addr ~size =
   let old = usable_size t ~addr in
@@ -137,7 +133,7 @@ let free_all t =
   t.limit <- t.chunks.(0) + t.cfg.chunk_size;
   t.bumped_since_free_all <- 0;
   t.live <- 0;
-  Hashtbl.reset t.sizes
+  Size_oracle.reset t.sizes
 
 (* Figure 9's definition for the region allocator: the total amount of
    memory allocated during a transaction. *)

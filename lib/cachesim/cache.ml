@@ -42,26 +42,24 @@ let victim_line t = t.victim_line
 
 let victim_dirty t = t.victim_dirty
 
-(* Find the way holding [line] in [set], or -1.  A while-loop over
-   unboxed locals, not an inner recursive function: Closure would compile
-   the latter to a heap-allocated closure per call. *)
-let find t set line =
+(* One scan of [set]: the slot holding [line], or, if no way holds it,
+   [lnot] of the LRU slot (least age, lowest way first) — a negative
+   number, so both answers come back as one unboxed int.  A while-loop
+   over unboxed locals, not an inner recursive function: Closure would
+   compile the latter to a heap-allocated closure per call. *)
+let probe t set line =
   let base = set * t.nways in
+  let stop = base + t.nways in
   let found = ref (-1) in
-  let w = ref 0 in
-  while !found < 0 && !w < t.nways do
-    if Array.unsafe_get t.tags (base + !w) = line then found := base + !w;
-    incr w
+  let lru = ref base in
+  let i = ref base in
+  while !found < 0 && !i < stop do
+    let s = !i in
+    if Array.unsafe_get t.tags s = line then found := s
+    else if Array.unsafe_get t.age s < Array.unsafe_get t.age !lru then lru := s;
+    i := s + 1
   done;
-  !found
-
-let lru_slot t set =
-  let base = set * t.nways in
-  let best = ref base in
-  for w = 1 to t.nways - 1 do
-    if t.age.(base + w) < t.age.(!best) then best := base + w
-  done;
-  !best
+  if !found >= 0 then !found else lnot !lru
 
 let[@inline] demand_hit t slot store =
   Array.unsafe_set t.age slot t.clock;
@@ -79,41 +77,44 @@ let fill t slot line dirty =
   Array.unsafe_set t.age slot t.clock;
   Bytes.unsafe_set t.dirty slot (if dirty then '\001' else '\000')
 
-let access t ~line ~store =
+(* Miss on the MRU way: scan the set. *)
+let access_scan t set line store =
+  let p = probe t set line in
+  if p >= 0 then begin
+    Array.unsafe_set t.mru set p;
+    demand_hit t p store
+  end
+  else begin
+    let slot = lnot p in
+    fill t slot line store;
+    Bytes.unsafe_set t.prefetched slot '\000';
+    Array.unsafe_set t.mru set slot;
+    Miss
+  end
+
+let[@inline] access t ~line ~store =
   let set = line land t.set_mask in
   t.clock <- t.clock + 1;
   (* MRU-way fast path: the line referenced last time in this set is very
      often referenced again; checking its slot first skips the way scan.
      The hint is only a hint — a stale one fails the tag compare and falls
-     through to the scan, so results are identical to the plain path. *)
+     through to the scan, so results are identical to the plain path.
+     Small enough to inline into the caller; the scan is not. *)
   let m = Array.unsafe_get t.mru set in
   if Array.unsafe_get t.tags m = line then demand_hit t m store
-  else begin
-    let slot = find t set line in
-    if slot >= 0 then begin
-      Array.unsafe_set t.mru set slot;
-      demand_hit t slot store
-    end
-    else begin
-      let slot = lru_slot t set in
-      fill t slot line store;
-      Bytes.unsafe_set t.prefetched slot '\000';
-      Array.unsafe_set t.mru set slot;
-      Miss
-    end
-  end
+  else access_scan t set line store
 
 let insert t ~line =
   let set = line land t.set_mask in
   t.clock <- t.clock + 1;
-  let slot = find t set line in
-  if slot >= 0 then begin
-    Array.unsafe_set t.age slot t.clock;
-    Array.unsafe_set t.mru set slot;
+  let p = probe t set line in
+  if p >= 0 then begin
+    Array.unsafe_set t.age p t.clock;
+    Array.unsafe_set t.mru set p;
     Hit
   end
   else begin
-    let slot = lru_slot t set in
+    let slot = lnot p in
     fill t slot line false;
     Bytes.unsafe_set t.prefetched slot '\001';
     Array.unsafe_set t.mru set slot;
@@ -122,7 +123,7 @@ let insert t ~line =
 
 let contains t ~line =
   let set = line land t.set_mask in
-  find t set line >= 0
+  probe t set line >= 0
 
 let flush t =
   Array.fill t.tags 0 (Array.length t.tags) (-1);

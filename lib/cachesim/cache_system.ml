@@ -97,10 +97,9 @@ let create ~machine ~active_cores ~large_page_heap =
   t.fill_cb <- (fun line -> prefetch_line t line);
   t
 
-(* One data reference to a single line. *)
-let data_line t ~line ~addr ~store =
-  Events.unsafe_add t.ev (t.ctx_base + ix_instructions) 1;
-  Events.unsafe_add t.ev (t.ctx_base + (if store then ix_stores else ix_loads)) 1;
+(* One data reference to a single line.  The per-access instruction and
+   load/store counts are charged by the caller, once per range. *)
+let[@inline] data_line t ~line ~addr ~store =
   if not (Tlb.access t.tlb ~addr) then
     Events.unsafe_add t.ev (t.ctx_base + ix_dtlb_miss) 1;
   match Cache.access t.l1d ~line ~store with
@@ -117,17 +116,24 @@ let data_line t ~line ~addr ~store =
     Prefetcher.on_miss t.pf ~line ~fill:t.fill_cb
 
 let on_data_access t ctx kind addr bytes =
-  t.ctx_base <- Events.ctx_index ctx * Events.ncounters;
+  let base = Events.ctx_index ctx * Events.ncounters in
+  t.ctx_base <- base;
   let store =
     match kind with
     | Access.Load -> false
     | Access.Store -> true
   in
-  let first = addr lsr t.line_shift in
-  let last = (addr + bytes - 1) lsr t.line_shift in
-  for line = first to last do
-    let a = if line = first then addr else line lsl t.line_shift in
-    data_line t ~line ~addr:a ~store
+  let shift = t.line_shift in
+  let first = addr lsr shift in
+  let last = (addr + bytes - 1) lsr shift in
+  (* Every line is one instruction and one load or store. *)
+  Events.unsafe_add t.ev (base + ix_instructions) (last - first + 1);
+  Events.unsafe_add t.ev
+    (base + if store then ix_stores else ix_loads)
+    (last - first + 1);
+  data_line t ~line:first ~addr ~store;
+  for line = first + 1 to last do
+    data_line t ~line ~addr:(line lsl shift) ~store
   done
 
 let on_code_access t ctx addr =

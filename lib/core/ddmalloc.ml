@@ -101,12 +101,12 @@ let create ?(config = default_config) ~os ~mem ~pid ~code_base () =
      different processes' metadata do not collide in the same cache sets. *)
   let stagger = if cfg.pid_metadata_offset then pid * 320 mod 3840 else 0 in
   let meta_bytes = 4096 + (nclasses * class_rec_bytes) + nsegs + 64 in
-  let owner = Printf.sprintf "%s[%d]" name pid in
+  let account = Os.account os ~owner:(Printf.sprintf "%s[%d]" name pid) in
   let meta_base =
-    Os.mmap os ~owner ~bytes:meta_bytes ~align:4096 ~large_pages:false
+    Os.mmap os ~account ~bytes:meta_bytes ~align:4096 ~large_pages:false
   in
   let seg_base =
-    Os.mmap os ~owner ~bytes:cfg.arena_size ~align:cfg.segment_size
+    Os.mmap os ~account ~bytes:cfg.arena_size ~align:cfg.segment_size
       ~large_pages:cfg.large_pages
   in
   let meta = meta_base + stagger in
@@ -205,20 +205,23 @@ let push_free t c addr =
     (* Walk to the insertion point; every hop is a real load of a dead
        object's link word.  This is the kind of work DDmalloc exists to
        dodge — kept as an ablation. *)
-    let rec walk prev cur =
-      Memory.instr t.mem 4;
-      if cur = 0 || cur > addr then begin
-        Memory.store_word t.mem ~addr ~value:cur;
-        Memory.store_word t.mem ~addr:prev ~value:addr
-      end
-      else walk cur (Memory.load_word t.mem ~addr:cur)
-    in
     let head = Memory.load_word t.mem ~addr:r in
     if head = 0 || head > addr then begin
       Memory.store_word t.mem ~addr ~value:head;
       Memory.store_word t.mem ~addr:r ~value:addr
     end
-    else walk head (Memory.load_word t.mem ~addr:head)
+    else begin
+      let prev = ref head in
+      let cur = ref (Memory.load_word t.mem ~addr:head) in
+      Memory.instr t.mem 4;
+      while not (!cur = 0 || !cur > addr) do
+        prev := !cur;
+        cur := Memory.load_word t.mem ~addr:!cur;
+        Memory.instr t.mem 4
+      done;
+      Memory.store_word t.mem ~addr ~value:!cur;
+      Memory.store_word t.mem ~addr:!prev ~value:addr
+    end
 
 let pop_free t c =
   let r = class_rec t c in

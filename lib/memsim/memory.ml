@@ -18,11 +18,13 @@ type t = {
   mutable on_instr : Access.context -> int -> unit;
   mutable on_code : Access.context -> int -> unit;
   mutable accesses : int;
-  (* One-entry last-block cache: consecutive accesses to the same 64 KB
-     block (the overwhelmingly common case — allocator metadata walks,
-     payload touches) skip the Hashtbl entirely. *)
-  mutable last_id : int;  (* block id of [last_block]; -1 = none *)
-  mutable last_block : Bytes.t;
+  (* Direct-mapped block cache in front of the Hashtbl, indexed by the
+     block id's low bits: allocator metadata walks alternate between a few
+     blocks per process (bin heads, chunk headers), and a core runs several
+     processes, so a single remembered block misses on about one lookup in
+     seven. *)
+  cached_ids : int array;  (* block id held in each cell; -1 = none *)
+  cached_blocks : Bytes.t array;
 }
 
 let nop_access _ _ _ _ = ()
@@ -30,6 +32,8 @@ let nop_access _ _ _ _ = ()
 let nop_count (_ : Access.context) (_ : int) = ()
 
 let no_block = Bytes.create 0
+
+let cache_cells = 256
 
 let create () =
   {
@@ -39,15 +43,15 @@ let create () =
     on_instr = nop_count;
     on_code = nop_count;
     accesses = 0;
-    last_id = -1;
-    last_block = no_block;
+    cached_ids = Array.make cache_cells (-1);
+    cached_blocks = Array.make cache_cells no_block;
   }
 
 let reset t =
   Hashtbl.reset t.blocks;
   t.accesses <- 0;
-  t.last_id <- -1;
-  t.last_block <- no_block
+  Array.fill t.cached_ids 0 cache_cells (-1);
+  Array.fill t.cached_blocks 0 cache_cells no_block
 
 let set_context t ctx = t.ctx <- ctx
 
@@ -83,6 +87,12 @@ let[@inline] emit t kind addr bytes =
   t.accesses <- t.accesses + 1;
   t.on_access t.ctx kind addr bytes
 
+let[@inline] cell id = id land (cache_cells - 1)
+
+let[@inline] remember t id b =
+  Array.unsafe_set t.cached_ids (cell id) id;
+  Array.unsafe_set t.cached_blocks (cell id) b
+
 (* Materializing block lookup (cold path split out so the common case stays
    small enough to inline). *)
 let backing_slow t id =
@@ -94,22 +104,23 @@ let backing_slow t id =
       Hashtbl.add t.blocks id b;
       b
   in
-  t.last_id <- id;
-  t.last_block <- b;
+  remember t id b;
   b
 
 let[@inline] backing t id =
-  if t.last_id = id then t.last_block else backing_slow t id
+  if Array.unsafe_get t.cached_ids (cell id) = id then
+    Array.unsafe_get t.cached_blocks (cell id)
+  else backing_slow t id
 
 (* Non-materializing lookup; raises [Not_found] for unbacked blocks (the
    preallocated exception keeps the miss case allocation-free, unlike
    [find_opt]'s [Some]). *)
 let[@inline] find_block t id =
-  if t.last_id = id then t.last_block
+  if Array.unsafe_get t.cached_ids (cell id) = id then
+    Array.unsafe_get t.cached_blocks (cell id)
   else begin
     let b = Hashtbl.find t.blocks id in
-    t.last_id <- id;
-    t.last_block <- b;
+    remember t id b;
     b
   end
 

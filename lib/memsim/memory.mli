@@ -19,10 +19,16 @@
     {b Zero-allocation hot path.}  A simulated data access performs no heap
     allocation: the observer receives the four components of an
     {!Access.t} as immediate arguments rather than a boxed record, block
-    lookup goes through a one-entry last-block cache (and a preallocated
+    lookup goes through a direct-mapped block cache (and a preallocated
     [Not_found] instead of an allocating [find_opt]), and
     {!load_word}/{!store_word} assemble native [int]s without [Int64]
-    boxing.  Billions of events per experiment ride on this path. *)
+    boxing.  Billions of events per experiment ride on this path.
+
+    The workload side that drives this memory keeps the same discipline:
+    a steady-state allocation event of a runtime process — random draws,
+    allocator code, payload touches — allocates nothing in release builds
+    and at most 2 minor words on average in any build (see the contract in
+    [engine.mli] and its [Gc.minor_words] test in [test_runtime.ml]). *)
 
 type t
 

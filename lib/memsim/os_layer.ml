@@ -4,11 +4,13 @@ type region = {
   large_pages : bool;
 }
 
+type account = { mutable claimed : int }
+
 type t = {
   mem : Memory.t;
   mutable next : int;
   mutable regions : region list;
-  owners : (string, int) Hashtbl.t;
+  owners : (string, account) Hashtbl.t;
 }
 
 let syscall_instructions = 800
@@ -30,25 +32,31 @@ let charge_syscall t =
   Memory.with_context t.mem Access.Kernel (fun () ->
       Memory.instr t.mem syscall_instructions)
 
-let add_owner t owner delta =
-  let current = Option.value ~default:0 (Hashtbl.find_opt t.owners owner) in
-  Hashtbl.replace t.owners owner (current + delta)
+let account t ~owner =
+  match Hashtbl.find_opt t.owners owner with
+  | Some a -> a
+  | None ->
+    let a = { claimed = 0 } in
+    Hashtbl.add t.owners owner a;
+    a
 
-let mmap t ~owner ~bytes ~align ~large_pages =
+let claimed a = a.claimed
+
+let mmap t ~account ~bytes ~align ~large_pages =
   assert (bytes > 0);
   assert (align > 0 && align land (align - 1) = 0);
   charge_syscall t;
   let base = round_up t.next align in
   t.next <- base + round_up bytes small_page;
   t.regions <- { base; bytes; large_pages } :: t.regions;
-  add_owner t owner bytes;
+  account.claimed <- account.claimed + bytes;
   base
 
-let munmap t ~owner ~addr ~bytes =
+let munmap t ~account ~addr ~bytes =
   charge_syscall t;
   t.regions <-
     List.filter (fun r -> not (r.base = addr && r.bytes = bytes)) t.regions;
-  add_owner t owner (-bytes)
+  account.claimed <- account.claimed - bytes
 
 let page_size_of t ~addr =
   let covered r = addr >= r.base && addr < r.base + r.bytes in
@@ -57,6 +65,8 @@ let page_size_of t ~addr =
   | Some _ | None -> small_page
 
 let claimed_bytes t ~owner =
-  Option.value ~default:0 (Hashtbl.find_opt t.owners owner)
+  match Hashtbl.find_opt t.owners owner with
+  | Some a -> a.claimed
+  | None -> 0
 
-let total_claimed t = Hashtbl.fold (fun _ v acc -> acc + v) t.owners 0
+let total_claimed t = Hashtbl.fold (fun _ a acc -> acc + a.claimed) t.owners 0

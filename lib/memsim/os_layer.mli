@@ -13,12 +13,24 @@ type t
 
 val create : Memory.t -> t
 
+type account
+(** The claimed-bytes account of one owner name.  Every heap opened under
+    the same name shares it: a restarted Ruby worker's fresh heap keeps
+    counting the address space its predecessor left mapped. *)
+
+val account : t -> owner:string -> account
+(** The account of [owner], created empty on first use.  Heaps look it up
+    once, at creation, and keep it. *)
+
+val claimed : account -> int
+(** Current bytes mapped through the account (mmap minus munmap). *)
+
 val mmap :
-  t -> owner:string -> bytes:int -> align:int -> large_pages:bool -> int
+  t -> account:account -> bytes:int -> align:int -> large_pages:bool -> int
 (** Claim [bytes] of address space aligned to [align] (a power of two).
     Returns the base address.  The space reads as zero until written. *)
 
-val munmap : t -> owner:string -> addr:int -> bytes:int -> unit
+val munmap : t -> account:account -> addr:int -> bytes:int -> unit
 (** Release a previously mapped range (bookkeeping only; the range must not
     be touched again). *)
 
@@ -27,7 +39,7 @@ val page_size_of : t -> addr:int -> int
     4 KB otherwise (including unmapped scratch such as simulated stacks). *)
 
 val claimed_bytes : t -> owner:string -> int
-(** Current bytes mapped by [owner] (mmap minus munmap). *)
+(** [claimed] of [owner]'s account; 0 for a name never used. *)
 
 val total_claimed : t -> int
 

@@ -37,7 +37,22 @@
     the historical boxed-[Access.t] path.  When extending the engine or
     the observers, keep closure creation, boxing ([Int64], [option],
     tuples) and [Printf] out of the per-access path — allocation there
-    dominates end-to-end simulation time. *)
+    dominates end-to-end simulation time.
+
+    The contract extends to stream generation: a steady-state
+    {!Process.step} allocation event (the interpreter-work, size and
+    lifetime draws of {!Mm_stats.Rng}/{!Mm_stats.Dist}, the allocator's
+    malloc/realloc/free including its consumption reading, and the
+    payload touches) allocates on average at most 2 minor words per
+    event, hard-checked by the [Gc.minor_words] test in [test_runtime.ml]
+    for php-default, region and DDmalloc with a {!Mm_cachesim.Cache_system}
+    attached.  Release builds inline the float-valued draws and allocate
+    nothing; the residue in dev builds (about half a word per event) is
+    the boxed float of the lognormal draw, which crosses a module
+    boundary there.  So: no local recursive functions (each call
+    allocates a closure), no mutable float fields in mixed records, no
+    [Printf]/[Hashtbl] lookups per event, and floats that cross a module
+    boundary only where the callee can be inlined. *)
 
 type config = {
   machine : Mm_cachesim.Machine.t;

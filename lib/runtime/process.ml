@@ -21,6 +21,16 @@ let restart_kernel_instr spec =
   int_of_float
     (restart_cost_ratio *. float_of_int (spec.Spec.mallocs * per_op))
 
+(* All-float record, so its fields are stored unboxed: a mutable float
+   field of the mixed record [t] would box on every update.  [free_step]
+   and [realloc_step] are the spec's per-malloc ratios. *)
+type credits = {
+  mutable free_credit : float;
+  mutable realloc_credit : float;
+  free_step : float;
+  realloc_step : float;
+}
+
 type t = {
   kind : Alloc_factory.kind;
   os : Os.t;
@@ -40,8 +50,7 @@ type t = {
   code_line_span : int;  (* app code lines available to pick from *)
   mutable ops_in_txn : int;
   mutable txns : int;
-  mutable free_credit : float;
-  mutable realloc_credit : float;
+  credits : credits;
   mutable peaks : Mm_stats.Summary.t;
   mutable nrestarts : int;
   use_bulk_free : bool;
@@ -52,13 +61,13 @@ let create ~kind ~os ~mem ~spec ~pid ~seed ~use_bulk_free =
   let handle = Alloc_factory.create kind ~os ~mem ~pid in
   let ws_base =
     Os.mmap os
-      ~owner:(Printf.sprintf "app-ws[%d]" pid)
+      ~account:(Os.account os ~owner:(Printf.sprintf "app-ws[%d]" pid))
       ~bytes:spec.Spec.app_ws_bytes ~align:4096 ~large_pages:false
   in
   let stream_bytes = 1024 * 1024 in
   let stream_base =
     Os.mmap os
-      ~owner:(Printf.sprintf "app-stream[%d]" pid)
+      ~account:(Os.account os ~owner:(Printf.sprintf "app-stream[%d]" pid))
       ~bytes:stream_bytes ~align:4096 ~large_pages:false
   in
   {
@@ -80,8 +89,14 @@ let create ~kind ~os ~mem ~spec ~pid ~seed ~use_bulk_free =
     code_line_span = Stdlib.max 1 ((spec.Spec.app_code_bytes / 64) - 8);
     ops_in_txn = 0;
     txns = 0;
-    free_credit = 0.0;
-    realloc_credit = 0.0;
+    credits =
+      {
+        free_credit = 0.0;
+        realloc_credit = 0.0;
+        free_step = float_of_int spec.Spec.frees /. float_of_int spec.Spec.mallocs;
+        realloc_step =
+          float_of_int spec.Spec.reallocs /. float_of_int spec.Spec.mallocs;
+      };
     peaks = Mm_stats.Summary.create ();
     nrestarts = 0;
     use_bulk_free;
@@ -114,12 +129,12 @@ let remove_live t idx =
 (* Pick a victim near the top of the allocation stack: interpreter
    temporaries die young and in near-LIFO order. *)
 let pick_lifo t =
-  let d = int_of_float (Rng.exponential t.rng ~mean:t.spec.Spec.lifo_depth) in
+  let d = Rng.exponential_int t.rng ~mean:t.spec.Spec.lifo_depth in
   let idx = t.nlive - 1 - d in
   if idx < 0 then 0 else idx
 
 let pick_recent t =
-  let d = int_of_float (Rng.exponential t.rng ~mean:24.0) in
+  let d = Rng.exponential_int t.rng ~mean:24.0 in
   let idx = t.nlive - 1 - d in
   if idx < 0 then 0 else idx
 
@@ -183,10 +198,10 @@ let do_op t =
       ~kind:Mm_memsim.Access.Load
   done;
   (* Occasional realloc (growing buffers, arrays). *)
-  t.realloc_credit <-
-    t.realloc_credit +. (float_of_int s.Spec.reallocs /. float_of_int s.Spec.mallocs);
-  if t.realloc_credit >= 1.0 && t.nlive > 0 then begin
-    t.realloc_credit <- t.realloc_credit -. 1.0;
+  let c = t.credits in
+  c.realloc_credit <- c.realloc_credit +. c.realloc_step;
+  if c.realloc_credit >= 1.0 && t.nlive > 0 then begin
+    c.realloc_credit <- c.realloc_credit -. 1.0;
     let idx = pick_recent t in
     let nsize = t.live_size.(idx) + Stdlib.max 8 (t.live_size.(idx) / 2) in
     let naddr = h.Core.Allocator.h_realloc ~addr:t.live_addr.(idx) ~size:nsize in
@@ -197,11 +212,9 @@ let do_op t =
      per-object free (region, obstack) have these calls removed, exactly as
      the paper's porting rule prescribes. *)
   if h.Core.Allocator.h_caps.Core.Allocator.per_object_free then begin
-    t.free_credit <-
-      t.free_credit
-      +. (float_of_int s.Spec.frees /. float_of_int s.Spec.mallocs);
-    while t.free_credit >= 1.0 && t.nlive > 0 do
-      t.free_credit <- t.free_credit -. 1.0;
+    c.free_credit <- c.free_credit +. c.free_step;
+    while c.free_credit >= 1.0 && t.nlive > 0 do
+      c.free_credit <- c.free_credit -. 1.0;
       let idx = pick_lifo t in
       h.Core.Allocator.h_free ~addr:t.live_addr.(idx);
       remove_live t idx
@@ -249,8 +262,8 @@ let restart t =
       Memory.instr t.mem (restart_kernel_instr t.spec));
   t.nlive <- 0;
   t.ops_in_txn <- 0;
-  t.free_credit <- 0.0;
-  t.realloc_credit <- 0.0;
+  t.credits.free_credit <- 0.0;
+  t.credits.realloc_credit <- 0.0;
   t.handle <- Alloc_factory.create t.kind ~os:t.os ~mem:t.mem ~pid:t.pid;
   t.nrestarts <- t.nrestarts + 1
 

@@ -7,36 +7,56 @@ type t =
   | Discrete of (float * float) array
   | Mixture of (float * t) array
 
-let pick_weighted rng weights_of total =
-  (* Walk the cumulative weights until the uniform draw is covered. *)
-  let target = Rng.float rng *. total in
-  let n = Array.length weights_of in
-  let rec go i acc =
-    if i >= n - 1 then i
-    else
-      let acc = acc +. fst weights_of.(i) in
-      if target < acc then i else go (i + 1) acc
-  in
-  go 0 0.0
+(* Uniform over [0, 1): the same value [Rng.float] returns, computed here
+   so the float stays unboxed (a float returned by a call into another
+   module is boxed unless the compiler inlines it). *)
+let[@inline] uniform rng = float_of_int (Rng.bits53 rng) *. (1.0 /. 9007199254740992.0)
 
-let rec sample t rng =
+(* Sum of the weights, left to right. *)
+let[@inline] total_weight weighted =
+  let acc = ref 0.0 in
+  for i = 0 to Array.length weighted - 1 do
+    acc := !acc +. fst (Array.unsafe_get weighted i)
+  done;
+  !acc
+
+(* Walk the cumulative weights until the uniform draw is covered. *)
+let pick_weighted rng weighted =
+  let target = uniform rng *. total_weight weighted in
+  let last = Array.length weighted - 1 in
+  let i = ref 0 in
+  let acc = ref 0.0 in
+  let found = ref false in
+  while (not !found) && !i < last do
+    acc := !acc +. fst (Array.unsafe_get weighted !i);
+    if target < !acc then found := true else incr i
+  done;
+  !i
+
+(* Resolve nested mixtures to one leaf distribution, drawing each
+   component choice in turn. *)
+let rec leaf t rng =
+  match t with
+  | Mixture components -> leaf (snd components.(pick_weighted rng components)) rng
+  | _ -> t
+
+(* One draw from a leaf; [leaf] has already removed every [Mixture]. *)
+let[@inline] sample_leaf t rng =
   match t with
   | Constant v -> v
-  | Uniform { lo; hi } -> lo +. ((hi -. lo) *. Rng.float rng)
+  | Uniform { lo; hi } -> lo +. ((hi -. lo) *. uniform rng)
   | Exponential { mean } -> Rng.exponential rng ~mean
   | Lognormal { mu; sigma } -> exp (mu +. (sigma *. Rng.gaussian rng))
   | Pareto { scale; shape } ->
-    let u = Float.max 1e-12 (Rng.float rng) in
+    let u = Float.max 1e-12 (uniform rng) in
     scale *. (u ** (-1.0 /. shape))
-  | Discrete entries ->
-    let total = Array.fold_left (fun acc (w, _) -> acc +. w) 0.0 entries in
-    snd entries.(pick_weighted rng entries total)
-  | Mixture components ->
-    let total = Array.fold_left (fun acc (w, _) -> acc +. w) 0.0 components in
-    sample (snd components.(pick_weighted rng components total)) rng
+  | Discrete entries -> snd entries.(pick_weighted rng entries)
+  | Mixture _ -> assert false
+
+let sample t rng = sample_leaf (leaf t rng) rng
 
 let sample_size t rng ~min_bytes =
-  let v = int_of_float (Float.round (sample t rng)) in
+  let v = int_of_float (Float.round (sample_leaf (leaf t rng) rng)) in
   if v < min_bytes then min_bytes else v
 
 let mean_estimate t rng ~samples =
@@ -53,12 +73,12 @@ let zipf rng ~n ~s =
      O(n); instead use the standard approximation by inverting the continuous
      Zipf CDF, which is accurate enough for working-set modeling. *)
   if s = 1.0 then
-    let u = Rng.float rng in
+    let u = uniform rng in
     let hn = log (float_of_int n +. 1.0) in
     let r = int_of_float (exp (u *. hn)) - 1 in
     if r < 0 then 0 else if r >= n then n - 1 else r
   else
-    let u = Rng.float rng in
+    let u = uniform rng in
     let nf = float_of_int n in
     let one_minus_s = 1.0 -. s in
     let hn = ((nf +. 1.0) ** one_minus_s -. 1.0) /. one_minus_s in

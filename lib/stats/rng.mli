@@ -4,7 +4,14 @@
     experiment is exactly reproducible from its seed.  The generator is
     SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): fast, 64-bit, and cheap to
     split into independent streams — one stream per simulated process keeps
-    workloads on different cores statistically independent yet repeatable. *)
+    workloads on different cores statistically independent yet repeatable.
+
+    Draws allocate nothing: the 64-bit state is held unboxed, and every
+    draw that yields an [int] or [bool] stays allocation-free even when
+    called from another module.  A [float] result crossing a module
+    boundary is boxed unless the compiler inlines the call (release
+    builds do), so hot paths in other modules use {!bits53} or
+    {!exponential_int} instead. *)
 
 type t
 
@@ -30,6 +37,10 @@ val int_in : t -> lo:int -> hi:int -> int
 (** [int_in t ~lo ~hi] is uniform over the inclusive range [lo, hi].
     Requires [lo <= hi]. *)
 
+val bits53 : t -> int
+(** 53 uniform random bits: [float t] is [float_of_int (bits53 t)] scaled
+    by 2{^-53}, drawn from the same step of the stream. *)
+
 val float : t -> float
 (** Uniform over [0, 1). *)
 
@@ -41,6 +52,9 @@ val gaussian : t -> float
 
 val exponential : t -> mean:float -> float
 (** Exponential deviate with the given mean. *)
+
+val exponential_int : t -> mean:float -> int
+(** [int_of_float (exponential t ~mean)], returned unboxed. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)

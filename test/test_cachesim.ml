@@ -74,32 +74,64 @@ let test_cache_flush () =
   Cache.flush c;
   Alcotest.(check bool) "gone" false (Cache.contains c ~line:1)
 
-(* Reference-model property: our cache vs a naive LRU list model. *)
+(* Reference-model property: our cache vs a naive LRU list model.  Demand
+   accesses (loads and stores) and prefetch inserts are mixed, so the
+   merged hit/LRU scan is exercised on both paths; every step must agree on
+   the result and, on a miss, on the victim line and its dirty bit. *)
+type ref_line = { line : int; mutable dirty : bool; mutable prefetched : bool }
+
 let prop_cache_matches_reference =
-  QCheck.Test.make ~name:"cache matches naive LRU reference" ~count:50
-    QCheck.(pair small_int (list_of_size Gen.(int_range 50 300) (int_range 0 40)))
-    (fun (_, lines) ->
-      let sets = 4 and ways = 2 in
+  QCheck.Test.make ~name:"cache matches naive LRU reference" ~count:100
+    QCheck.(
+      list_of_size
+        Gen.(int_range 50 300)
+        (triple (int_range 0 3) (int_range 0 40) bool))
+    (fun ops ->
+      let sets = 4 and ways = 3 in
       let c = Cache.create ~sets ~ways in
-      (* reference: per set, list of lines in MRU order *)
+      (* reference: per set, its lines in MRU order *)
       let reference = Array.make sets [] in
-      let ok = ref true in
-      List.iter
-        (fun line ->
+      List.for_all
+        (fun (op, line, store) ->
           let set = line land (sets - 1) in
-          let hit_ref = List.mem line reference.(set) in
-          let hit_sim = not (is_miss (Cache.access c ~line ~store:false)) in
-          if hit_ref <> hit_sim then ok := false;
-          let without = List.filter (( <> ) line) reference.(set) in
-          let trimmed =
-            if hit_ref then without
-            else if List.length without >= ways then
-              List.filteri (fun i _ -> i < ways - 1) without
-            else without
+          let present = List.find_opt (fun r -> r.line = line) reference.(set) in
+          let others = List.filter (fun r -> r.line <> line) reference.(set) in
+          let prefetch = op = 0 in
+          let result =
+            if prefetch then Cache.insert c ~line else Cache.access c ~line ~store
           in
-          reference.(set) <- line :: trimmed)
-        lines;
-      !ok)
+          match present with
+          | Some r ->
+            let expected =
+              if (not prefetch) && r.prefetched then Cache.Hit_prefetched
+              else Cache.Hit
+            in
+            if not prefetch then begin
+              r.prefetched <- false;
+              if store then r.dirty <- true
+            end;
+            reference.(set) <- r :: others;
+            result = expected
+          | None ->
+            let kept, victim =
+              if List.length others < ways then (others, None)
+              else
+                ( List.filteri (fun i _ -> i < ways - 1) others,
+                  Some (List.nth others (ways - 1)) )
+            in
+            let fresh =
+              { line; dirty = (not prefetch) && store; prefetched = prefetch }
+            in
+            reference.(set) <- fresh :: kept;
+            let victim_line, victim_dirty =
+              match victim with
+              | Some v -> (v.line, v.dirty)
+              | None -> (-1, false)
+            in
+            result = Cache.Miss
+            && Cache.victim_line c = victim_line
+            && Cache.victim_dirty c = victim_dirty)
+        ops)
 
 (* Reference-model property for the MRU-way fast path: a straight
    reimplementation of the cache WITHOUT the MRU hint (the pre-optimization
@@ -500,11 +532,46 @@ let prop_tlb_hit_after_install =
       ignore (Tlb.access t ~addr);
       Tlb.access t ~addr)
 
+(* Differential property for the TLB: against an exact-LRU list model,
+   over random page streams with flushes.  Runs of accesses inside one
+   page exercise the last-slot fast path; the many distinct pages force
+   evictions and share hint cells, so stale hints are exercised too. *)
+let prop_tlb_matches_lru_reference =
+  QCheck.Test.make ~name:"tlb matches naive exact-LRU reference" ~count:100
+    QCheck.(
+      list_of_size
+        Gen.(int_range 20 200)
+        (triple (int_range 0 64) (int_range 1 12) (int_range 0 4095)))
+    (fun runs ->
+      let entries = 8 in
+      let t = Tlb.create ~entries ~page_shift:12 in
+      (* reference: resident pages, most recent first *)
+      let reference = ref [] in
+      List.for_all
+        (fun (page, len, offset) ->
+          if page = 64 then begin
+            Tlb.flush t;
+            reference := [];
+            true
+          end
+          else begin
+            let ok = ref true in
+            for k = 0 to len - 1 do
+              let addr = (page lsl 12) + ((offset + (k * 64)) land 4095) in
+              let hit = List.mem page !reference in
+              let rest = List.filter (( <> ) page) !reference in
+              reference := page :: List.filteri (fun i _ -> i < entries - 1) rest;
+              if Tlb.access t ~addr <> hit then ok := false
+            done;
+            !ok
+          end)
+        runs)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_cache_matches_reference; prop_mru_fast_path_matches_slow_path;
       prop_perf_model_consistent; prop_prefetched_hit_reported_once;
-      prop_tlb_hit_after_install ]
+      prop_tlb_hit_after_install; prop_tlb_matches_lru_reference ]
 
 let () =
   Alcotest.run "mm_cachesim"

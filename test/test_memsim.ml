@@ -237,8 +237,14 @@ let test_access_count () =
 let test_os_mmap_alignment_and_disjoint () =
   let mem = Memory.create () in
   let os = Os.create mem in
-  let a = Os.mmap os ~owner:"a" ~bytes:1000 ~align:4096 ~large_pages:false in
-  let b = Os.mmap os ~owner:"b" ~bytes:32768 ~align:32768 ~large_pages:false in
+  let a =
+    Os.mmap os ~account:(Os.account os ~owner:"a") ~bytes:1000 ~align:4096
+      ~large_pages:false
+  in
+  let b =
+    Os.mmap os ~account:(Os.account os ~owner:"b") ~bytes:32768 ~align:32768
+      ~large_pages:false
+  in
   Alcotest.(check int) "a aligned" 0 (a mod 4096);
   Alcotest.(check int) "b aligned" 0 (b mod 32768);
   Alcotest.(check bool) "disjoint" true (b >= a + 1000 || a >= b + 32768)
@@ -246,18 +252,29 @@ let test_os_mmap_alignment_and_disjoint () =
 let test_os_claimed_accounting () =
   let mem = Memory.create () in
   let os = Os.create mem in
-  let a = Os.mmap os ~owner:"x" ~bytes:5000 ~align:64 ~large_pages:false in
-  ignore (Os.mmap os ~owner:"y" ~bytes:100 ~align:64 ~large_pages:false);
+  let x = Os.account os ~owner:"x" in
+  let a = Os.mmap os ~account:x ~bytes:5000 ~align:64 ~large_pages:false in
+  ignore
+    (Os.mmap os ~account:(Os.account os ~owner:"y") ~bytes:100 ~align:64
+       ~large_pages:false);
   Alcotest.(check int) "claimed x" 5000 (Os.claimed_bytes os ~owner:"x");
+  Alcotest.(check int) "account x" 5000 (Os.claimed x);
   Alcotest.(check int) "total" 5100 (Os.total_claimed os);
-  Os.munmap os ~owner:"x" ~addr:a ~bytes:5000;
-  Alcotest.(check int) "after munmap" 0 (Os.claimed_bytes os ~owner:"x")
+  (* A second lookup of a name (a restarted worker's fresh heap) shares
+     the account, so it keeps counting what the first one mapped. *)
+  let x' = Os.account os ~owner:"x" in
+  ignore (Os.mmap os ~account:x' ~bytes:64 ~align:64 ~large_pages:false);
+  Alcotest.(check int) "shared account" 5064 (Os.claimed x);
+  Os.munmap os ~account:x ~addr:a ~bytes:5000;
+  Alcotest.(check int) "after munmap" 64 (Os.claimed_bytes os ~owner:"x");
+  Alcotest.(check int) "unused name" 0 (Os.claimed_bytes os ~owner:"z")
 
 let test_os_page_size () =
   let mem = Memory.create () in
   let os = Os.create mem in
-  let small = Os.mmap os ~owner:"s" ~bytes:8192 ~align:4096 ~large_pages:false in
-  let large = Os.mmap os ~owner:"l" ~bytes:8192 ~align:4096 ~large_pages:true in
+  let account = Os.account os ~owner:"s" in
+  let small = Os.mmap os ~account ~bytes:8192 ~align:4096 ~large_pages:false in
+  let large = Os.mmap os ~account ~bytes:8192 ~align:4096 ~large_pages:true in
   Alcotest.(check int) "small pages" 4096 (Os.page_size_of os ~addr:small);
   Alcotest.(check int) "large pages" (2 * 1024 * 1024)
     (Os.page_size_of os ~addr:(large + 100));
@@ -271,7 +288,9 @@ let test_os_syscall_charged_to_kernel () =
   Memory.set_instr_observer mem (fun ctx n ->
       if ctx = Access.Kernel then kernel_instr := !kernel_instr + n);
   Memory.set_context mem Access.Mgmt;
-  ignore (Os.mmap os ~owner:"k" ~bytes:64 ~align:64 ~large_pages:false);
+  ignore
+    (Os.mmap os ~account:(Os.account os ~owner:"k") ~bytes:64 ~align:64
+       ~large_pages:false);
   Alcotest.(check int) "syscall cost" Os.syscall_instructions !kernel_instr;
   Alcotest.(check bool) "context restored" true (Memory.context mem = Access.Mgmt)
 

@@ -157,6 +157,54 @@ let test_mgmt_share_ordering () =
     (Printf.sprintf "dd (%.3f) < default (%.3f)" dd default)
     true (dd < default)
 
+(* --- the zero-allocation contract extended to generation (engine.mli) ---
+
+   A steady-state allocation event — interpreter work, working-set and
+   stream touches, the size draw, malloc, object touches, realloc and the
+   LIFO frees — with a full cache system attached allocates (almost)
+   nothing on the minor heap.  The bound is an average over many events,
+   transaction ends included; [Gc.minor_words] is exact, so the bound is
+   hard. *)
+let words_per_op kind =
+  let mem = Mm_memsim.Memory.create () in
+  let os = Mm_memsim.Os_layer.create mem in
+  let cs =
+    Mm_cachesim.Cache_system.create ~machine:Machine.xeon ~active_cores:8
+      ~large_page_heap:false
+  in
+  Mm_cachesim.Cache_system.attach cs mem;
+  let spec = Spec.scaled Spec.mediawiki_ro ~scale:0.02 in
+  let p =
+    Mm_runtime.Process.create ~kind ~os ~mem ~spec ~pid:0 ~seed:42
+      ~use_bulk_free:true
+  in
+  let ops n =
+    for _ = 1 to n do
+      ignore (Mm_runtime.Process.step p ~ops:1 : bool)
+    done
+  in
+  (* Warm up: two transactions grow the live-object arrays, map the heap's
+     blocks and materialize its backing store. *)
+  ops (2 * spec.Spec.mallocs);
+  let n = 3 * spec.Spec.mallocs in
+  let before = Gc.minor_words () in
+  ops n;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+let test_step_allocation_bound () =
+  (* Measure every allocator before checking, so a failure reports all. *)
+  let words =
+    List.map
+      (fun kind -> (kind, words_per_op kind))
+      [ Factory.Php_default; Factory.Region; Factory.Dd None ]
+  in
+  List.iter
+    (fun (kind, w) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.2f minor words per op <= 2" (Factory.kind_name kind) w)
+        true (w <= 2.0))
+    words
+
 let () =
   Alcotest.run "mm_runtime"
     [
@@ -177,5 +225,6 @@ let () =
           Alcotest.test_case "restart mode" `Quick test_engine_restart_mode;
           Alcotest.test_case "event_per_txn" `Quick test_engine_event_per_txn;
           Alcotest.test_case "mgmt share ordering" `Quick test_mgmt_share_ordering;
+          Alcotest.test_case "step allocation bound" `Quick test_step_allocation_bound;
         ] );
     ]
