@@ -4,7 +4,6 @@
    and run a single simulation configuration with a detailed profile. *)
 
 module Store = Mm_store.Store
-module Fault = Mm_fault.Fault
 
 let ctx_of ~scale ~seed ~cache ~refresh ~cache_dir =
   let store =
@@ -93,19 +92,6 @@ let cache_dir_arg =
   Cmdliner.Arg.(
     value & opt (some string) None & info [ "cache-dir" ] ~docv:"DIR" ~doc)
 
-let fault_seed_arg =
-  let doc =
-    "Enable deterministic fault injection (I/O errors, torn writes, worker \
-     crashes) with this plan seed.  Faults change counters and timing, \
-     never results — retries and recomputation absorb them.  Equivalent to \
-     setting \\$MM_FAULT_SEED."
-  in
-  Cmdliner.Arg.(
-    value & opt (some int) None & info [ "fault-seed" ] ~docv:"N" ~doc)
-
-let apply_fault_seed fault_seed =
-  Option.iter (fun seed -> Fault.configure ~seed ()) fault_seed
-
 (* --no-cache asks for no store at all; flags that only make sense with a
    store are conflicts, not silent no-ops. *)
 let check_cache_flags ~cache ~refresh ~cache_dir =
@@ -150,7 +136,7 @@ let run_cmd =
     Cmdliner.Arg.(
       required & pos 0 (some string) None & info [] ~docv:"EXPERIMENT" ~doc)
   in
-  let run id scale seed jobs cache refresh cache_dir fault_seed =
+  let run id scale seed jobs cache refresh cache_dir =
     match (check_jobs jobs, check_cache_flags ~cache ~refresh ~cache_dir) with
     | Error msg, _ | _, Error msg -> `Error (false, msg)
     | Ok jobs, Ok () -> (
@@ -160,7 +146,6 @@ let run_cmd =
             Printf.sprintf "unknown experiment %S; valid ids: %s" id
               (String.concat ", " (Mm_experiments.Registry.ids @ [ "all" ])) )
       else begin
-        apply_fault_seed fault_seed;
         let ctx = ctx_of ~scale ~seed ~cache ~refresh ~cache_dir in
         (match Mm_experiments.Registry.find id with
         | Some e -> Mm_experiments.Registry.run ~jobs ctx e
@@ -175,13 +160,38 @@ let run_cmd =
     Cmdliner.Term.(
       ret
         (const run $ id_arg $ scale_arg $ seed_arg $ jobs_arg $ cache_arg
-       $ refresh_arg $ cache_dir_arg $ fault_seed_arg))
+       $ refresh_arg $ cache_dir_arg))
+
+(* Configuration flags and name lookups shared by `sim` and `serve`. *)
+let machine_arg =
+  let doc = "Machine model: xeon or niagara." in
+  Cmdliner.Arg.(value & opt string "xeon" & info [ "machine" ] ~docv:"M" ~doc)
+
+let workload_arg =
+  let doc = "Workload (see `mmstudy list`)." in
+  Cmdliner.Arg.(
+    value & opt string "mediawiki-ro" & info [ "workload" ] ~docv:"W" ~doc)
+
+let machine_of_name = function
+  | "xeon" -> Some Mm_cachesim.Machine.xeon
+  | "niagara" -> Some Mm_cachesim.Machine.niagara
+  | _ -> None
+
+let alloc_names =
+  List.map Mm_runtime.Alloc_factory.kind_name Mm_runtime.Alloc_factory.all_kinds
+
+let unknown what name valid =
+  `Error
+    (false, Printf.sprintf "unknown %s %S; valid: %s" what name
+       (String.concat ", " valid))
+
+let unknown_workload name =
+  unknown "workload" name
+    (List.map
+       (fun s -> s.Mm_workload.Spec.name)
+       (Mm_workload.Spec.php_apps @ [ Mm_workload.Spec.rails ]))
 
 let sim_cmd =
-  let machine_arg =
-    let doc = "Machine model: xeon or niagara." in
-    Cmdliner.Arg.(value & opt string "xeon" & info [ "machine" ] ~docv:"M" ~doc)
-  in
   let cores_arg =
     let doc = "Active cores (1 to the machine's core count)." in
     Cmdliner.Arg.(value & opt int 8 & info [ "cores" ] ~docv:"N" ~doc)
@@ -191,44 +201,17 @@ let sim_cmd =
     Cmdliner.Arg.(
       value & opt string "ddmalloc" & info [ "alloc" ] ~docv:"A" ~doc)
   in
-  let workload_arg =
-    let doc = "Workload (see `mmstudy list`)." in
-    Cmdliner.Arg.(
-      value & opt string "mediawiki-ro" & info [ "workload" ] ~docv:"W" ~doc)
-  in
-  let run machine cores alloc workload scale seed jobs cache refresh cache_dir
-      fault_seed =
-    let machine_v =
-      match machine with
-      | "xeon" -> Some Mm_cachesim.Machine.xeon
-      | "niagara" -> Some Mm_cachesim.Machine.niagara
-      | _ -> None
-    in
+  let run machine cores alloc workload scale seed jobs cache refresh cache_dir =
     match
-      ( machine_v,
+      ( machine_of_name machine,
         Mm_runtime.Alloc_factory.of_name alloc,
         Mm_workload.Spec.by_name workload,
         check_jobs jobs,
         check_cache_flags ~cache ~refresh ~cache_dir )
     with
-    | None, _, _, _, _ ->
-      `Error
-        (false, Printf.sprintf "unknown machine %S; valid: xeon, niagara" machine)
-    | _, None, _, _, _ ->
-      `Error
-        ( false,
-          Printf.sprintf "unknown allocator %S; valid: %s" alloc
-            (String.concat ", "
-               (List.map Mm_runtime.Alloc_factory.kind_name
-                  Mm_runtime.Alloc_factory.all_kinds)) )
-    | _, _, None, _, _ ->
-      `Error
-        ( false,
-          Printf.sprintf "unknown workload %S; valid: %s" workload
-            (String.concat ", "
-               (List.map
-                  (fun s -> s.Mm_workload.Spec.name)
-                  (Mm_workload.Spec.php_apps @ [ Mm_workload.Spec.rails ]))) )
+    | None, _, _, _, _ -> unknown "machine" machine [ "xeon"; "niagara" ]
+    | _, None, _, _, _ -> unknown "allocator" alloc alloc_names
+    | _, _, None, _, _ -> unknown_workload workload
     | _, _, _, Error msg, _ | _, _, _, _, Error msg -> `Error (false, msg)
     | Some machine, Some _, Some _, Ok _, Ok ()
       when cores < 1 || cores > machine.Mm_cachesim.Machine.cores ->
@@ -238,7 +221,6 @@ let sim_cmd =
             machine.Mm_cachesim.Machine.cores
             machine.Mm_cachesim.Machine.name cores )
     | Some machine, Some kind, Some spec, Ok jobs, Ok () ->
-      apply_fault_seed fault_seed;
       let ctx = ctx_of ~scale ~seed ~cache ~refresh ~cache_dir in
       let key =
         Mm_experiments.Context.php_key ctx ~machine ~cores ~kind ~spec ()
@@ -277,7 +259,7 @@ let sim_cmd =
       ret
         (const run $ machine_arg $ cores_arg $ alloc_arg $ workload_arg
        $ scale_arg $ seed_arg $ jobs_arg $ cache_arg $ refresh_arg
-       $ cache_dir_arg $ fault_seed_arg))
+       $ cache_dir_arg))
 
 (* --- the `mmstudy serve` subcommand ---------------------------------- *)
 
@@ -288,20 +270,9 @@ let sim_cmd =
    payloads — so output is byte-identical at any -j and a warm re-run
    performs zero simulations of either kind. *)
 let serve_cmd =
-  let machine_arg =
-    let doc = "Machine model: xeon or niagara." in
-    Cmdliner.Arg.(value & opt string "xeon" & info [ "machine" ] ~docv:"M" ~doc)
-  in
   let cores_arg =
     let doc = "Serving cores (1 to the machine's core count)." in
     Cmdliner.Arg.(value & opt int 8 & info [ "cores" ] ~docv:"N" ~doc)
-  in
-  let workload_arg =
-    let doc = "Workload (see `mmstudy list`)." in
-    Cmdliner.Arg.(
-      value
-      & opt string "mediawiki-ro"
-      & info [ "workload" ] ~docv:"W" ~doc)
   in
   let allocs_arg =
     let doc = "Comma-separated allocators to sweep (see `mmstudy list`)." in
@@ -378,13 +349,11 @@ let serve_cmd =
     if List.length kinds <> List.length parts || kinds = [] then
       Error
         (Printf.sprintf "unknown allocator in --alloc %S; valid: %s" s
-           (String.concat ", "
-              (List.map Mm_runtime.Alloc_factory.kind_name
-                 Mm_runtime.Alloc_factory.all_kinds)))
+           (String.concat ", " alloc_names))
     else Ok kinds
   in
   (* All-default policy flags mean the plain simulator: Policy.none, not
-     an equivalent [make] product, so the blob key (and thus warm-store
+     an equivalent [make] product, so the sweep key (and thus warm-store
      behavior) of a policy-free `mmstudy serve` is unchanged. *)
   let parse_policy ~timeout ~retries ~admission =
     match Mm_serve.Policy.admission_of_name admission with
@@ -403,15 +372,9 @@ let serve_cmd =
               ~admission:adm ())
   in
   let run machine cores workload allocs arrival dispatch rps duration timeout
-      retries admission scale seed jobs cache refresh cache_dir fault_seed =
-    let machine_v =
-      match machine with
-      | "xeon" -> Some Mm_cachesim.Machine.xeon
-      | "niagara" -> Some Mm_cachesim.Machine.niagara
-      | _ -> None
-    in
+      retries admission scale seed jobs cache refresh cache_dir =
     match
-      ( machine_v,
+      ( machine_of_name machine,
         Mm_workload.Spec.by_name workload,
         parse_allocs allocs,
         Mm_serve.Arrival.of_name arrival,
@@ -419,30 +382,15 @@ let serve_cmd =
         parse_rps rps,
         check_jobs jobs )
     with
-    | None, _, _, _, _, _, _ ->
-      `Error
-        (false, Printf.sprintf "unknown machine %S; valid: xeon, niagara" machine)
-    | _, None, _, _, _, _, _ ->
-      `Error
-        ( false,
-          Printf.sprintf "unknown workload %S; valid: %s" workload
-            (String.concat ", "
-               (List.map
-                  (fun s -> s.Mm_workload.Spec.name)
-                  (Mm_workload.Spec.php_apps @ [ Mm_workload.Spec.rails ]))) )
+    | None, _, _, _, _, _, _ -> unknown "machine" machine [ "xeon"; "niagara" ]
+    | _, None, _, _, _, _, _ -> unknown_workload workload
     | _, _, Error msg, _, _, _, _ -> `Error (false, msg)
     | _, _, _, None, _, _, _ ->
-      `Error
-        ( false,
-          Printf.sprintf "unknown arrival %S; valid: %s" arrival
-            (String.concat ", "
-               (List.map Mm_serve.Arrival.name Mm_serve.Arrival.all)) )
+      unknown "arrival" arrival
+        (List.map Mm_serve.Arrival.name Mm_serve.Arrival.all)
     | _, _, _, _, None, _, _ ->
-      `Error
-        ( false,
-          Printf.sprintf "unknown dispatch %S; valid: %s" dispatch
-            (String.concat ", "
-               (List.map Mm_serve.Dispatch.name Mm_serve.Dispatch.all)) )
+      unknown "dispatch" dispatch
+        (List.map Mm_serve.Dispatch.name Mm_serve.Dispatch.all)
     | _, _, _, _, _, Error msg, _ -> `Error (false, msg)
     | _, _, _, _, _, _, Error msg -> `Error (false, msg)
     | Some machine, Some _, Ok _, Some _, Some _, Ok _, Ok _
@@ -465,7 +413,6 @@ let serve_cmd =
       let module Ctx = Mm_experiments.Context in
       let module Lat = Mm_experiments.Exp_latency in
       let module Sweep = Mm_serve.Sweep in
-      apply_fault_seed fault_seed;
       let ctx = ctx_of ~scale ~seed ~cache ~refresh ~cache_dir in
       let default_kind = Mm_runtime.Alloc_factory.Php_default in
       (* The auto grid needs the default allocator's measurement even when
@@ -604,214 +551,7 @@ let serve_cmd =
         (const run $ machine_arg $ cores_arg $ workload_arg $ allocs_arg
        $ arrival_arg $ dispatch_arg $ rps_arg $ duration_arg $ timeout_arg
        $ retries_arg $ admission_arg $ scale_arg $ seed_arg $ jobs_arg
-       $ cache_arg $ refresh_arg $ cache_dir_arg $ fault_seed_arg))
-
-(* --- the `mmstudy chaos` subcommand ---------------------------------- *)
-
-(* Fault-injection drill: run the pipeline fault-free for a reference,
-   then again under a seeded fault plan, and verify the resilience
-   invariant — faults move counters (retries, restarts, misses), never
-   result bytes.  Then hammer the store and the pool directly.  Any
-   violation exits non-zero, so check.sh can gate on this. *)
-let chaos_cmd =
-  let chaos_fault_seed_arg =
-    let doc = "Seed of the deterministic fault plan to drill with." in
-    Cmdliner.Arg.(value & opt int 42 & info [ "fault-seed" ] ~docv:"N" ~doc)
-  in
-  let chaos_scale_arg =
-    let doc = "Transaction scale for the reference experiment pass." in
-    Cmdliner.Arg.(value & opt float 0.02 & info [ "scale" ] ~docv:"S" ~doc)
-  in
-  let rm_rf dir =
-    if Sys.file_exists dir then begin
-      Array.iter
-        (fun f ->
-          try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-        (Sys.readdir dir);
-      try Unix.rmdir dir with Unix.Unix_error _ -> ()
-    end
-  in
-  let run scale seed jobs fault_seed =
-    match check_jobs jobs with
-    | Error msg -> `Error (false, msg)
-    | Ok jobs ->
-      let module Ctx = Mm_experiments.Context in
-      let module Engine = Mm_runtime.Engine in
-      let violations = ref [] in
-      let violate fmt =
-        Printf.ksprintf (fun s -> violations := s :: !violations) fmt
-      in
-      let tmp =
-        Filename.concat
-          (Filename.get_temp_dir_name ())
-          (Printf.sprintf "mmstudy-chaos-%d" (Unix.getpid ()))
-      in
-      Fun.protect
-        ~finally:(fun () ->
-          Fault.disable ();
-          rm_rf tmp)
-        (fun () ->
-          Printf.printf
-            "Chaos drill: fault seed %d, sim seed %d, scale %.2f, %d job(s)\n\n"
-            fault_seed seed scale jobs;
-          (* Drill 1: determinism under faults.  The fig1 plan, fault-free
-             and in-memory, is the reference; the same plan under the
-             fault plan, through a store that is catching injected I/O
-             errors and torn writes, must produce identical bytes. *)
-          Fault.disable ();
-          let clean_ctx = Mm_experiments.Context.create ~scale ~seed () in
-          let keys = Mm_experiments.Exp_throughput.plan_fig1 clean_ctx in
-          Ctx.prefetch clean_ctx ~jobs keys;
-          let reference =
-            List.map
-              (fun k -> Engine.measurement_to_string (Ctx.force clean_ctx k))
-              keys
-          in
-          Fault.configure ~seed:fault_seed ();
-          let store =
-            Store.open_ ~dir:tmp
-              ~fingerprint:Mm_runtime.Version.sim_fingerprint ()
-          in
-          let faulty_ctx =
-            Mm_experiments.Context.create ~scale ~seed ~store ()
-          in
-          Ctx.prefetch faulty_ctx ~jobs keys;
-          let mismatches = ref 0 in
-          List.iter2
-            (fun k expected ->
-              let got =
-                Engine.measurement_to_string (Ctx.force faulty_ctx k)
-              in
-              if got <> expected then begin
-                incr mismatches;
-                violate "measurement %S differs under fault injection"
-                  (Ctx.key_name k)
-              end)
-            keys reference;
-          (* Second faulty pass through a fresh context: reads anything
-             the first pass managed to persist (including healed-over
-             torn entries) back out of the store. *)
-          let store2 =
-            Store.open_ ~dir:tmp
-              ~fingerprint:Mm_runtime.Version.sim_fingerprint ()
-          in
-          let reread_ctx =
-            Mm_experiments.Context.create ~scale ~seed ~store:store2 ()
-          in
-          List.iter2
-            (fun k expected ->
-              let got =
-                Engine.measurement_to_string (Ctx.force reread_ctx k)
-              in
-              if got <> expected then begin
-                incr mismatches;
-                violate "store round-trip of %S differs under fault injection"
-                  (Ctx.key_name k)
-              end)
-            keys reference;
-          Printf.printf
-            "experiment pass:  %d configuration(s), %d byte mismatch(es)\n"
-            (List.length keys) !mismatches;
-          Printf.printf
-            "                  store errors absorbed: %d (degraded: %b)\n"
-            (Ctx.store_errors faulty_ctx + Ctx.store_errors reread_ctx)
-            (Ctx.store_degraded faulty_ctx || Ctx.store_degraded reread_ctx);
-          (* Drill 2: the store under sustained injected I/O errors and
-             torn writes.  Every read must return the stored bytes or
-             miss — wrong bytes are the one unforgivable outcome — and a
-             miss must heal by rewriting. *)
-          let drill = Store.open_ ~dir:tmp ~fingerprint:"chaos-drill" () in
-          let entries = 200 in
-          let payload i =
-            Printf.sprintf "payload-%d-%s" i (String.make (i mod 97) 'x')
-          in
-          let corrupt = ref 0 and misses = ref 0 and healed = ref 0 in
-          for i = 0 to entries - 1 do
-            let key = Printf.sprintf "chaos-%d" i in
-            let data = payload i in
-            (try Store.store drill ~key ~data () with _ -> ());
-            let rec check attempt =
-              match Store.find drill ~key with
-              | Some d when d = data ->
-                if attempt > 0 then incr healed
-              | Some _ -> incr corrupt
-              | None ->
-                incr misses;
-                if attempt < 5 then begin
-                  (try Store.store drill ~key ~data () with _ -> ());
-                  check (attempt + 1)
-                end
-                else violate "store entry %s never healed" key
-            in
-            check 0
-          done;
-          if !corrupt > 0 then
-            violate "store served wrong bytes %d time(s)" !corrupt;
-          let h = Store.health drill in
-          Printf.printf
-            "store drill:      %d entry(ies), %d miss(es), %d healed, %d \
-             served corrupt\n"
-            entries !misses !healed !corrupt;
-          Printf.printf
-            "                  read retries %d, read failures %d, write \
-             retries %d, write failures %d\n"
-            h.Store.read_retries h.Store.read_failures h.Store.write_retries
-            h.Store.write_failures;
-          (* Drill 3: the pool under injected worker crashes.  Values and
-             submission order must survive; the supervisor's restart
-             count is the only visible trace. *)
-          let pool = Mm_sched.Pool.create ~jobs:(Stdlib.max 2 jobs) in
-          let tasks = 200 in
-          let promises =
-            List.init tasks (fun i ->
-                Mm_sched.Pool.submit pool (fun () -> (i, i * i)))
-          in
-          let wrong = ref 0 in
-          List.iteri
-            (fun i p ->
-              match Mm_sched.Pool.await p with
-              | j, sq when j = i && sq = i * i -> ()
-              | _ -> incr wrong
-              | exception _ -> incr wrong)
-            promises;
-          let restarts = Mm_sched.Pool.restarts pool in
-          Mm_sched.Pool.shutdown pool;
-          if !wrong > 0 then
-            violate "pool returned %d wrong or failed result(s)" !wrong;
-          Printf.printf
-            "pool drill:       %d task(s), %d wrong result(s), %d worker \
-             restart(s)\n"
-            tasks !wrong restarts;
-          let total = Fault.total_injected () in
-          Printf.printf "faults injected:  %d total (%s)\n" total
-            (String.concat ", "
-               (List.map
-                  (fun (site, n) ->
-                    Printf.sprintf "%s %d" (Fault.site_name site) n)
-                  (Fault.counts ())));
-          if total = 0 then
-            violate
-              "fault plan injected nothing — the drill exercised no faults";
-          match !violations with
-          | [] ->
-            Printf.printf "\nresilience invariant held: faults moved \
-                           counters, never bytes\n";
-            `Ok ()
-          | vs ->
-            `Error
-              ( false,
-                Printf.sprintf "chaos drill failed:\n  %s"
-                  (String.concat "\n  " (List.rev vs)) ))
-  in
-  Cmdliner.Cmd.v
-    (Cmdliner.Cmd.info "chaos"
-       ~doc:
-         "Drill the fault-injection paths: prove results are byte-identical \
-          under injected I/O errors, torn writes and worker crashes.")
-    Cmdliner.Term.(
-      ret
-        (const run $ chaos_scale_arg $ seed_arg $ jobs_arg
-       $ chaos_fault_seed_arg))
+       $ cache_arg $ refresh_arg $ cache_dir_arg))
 
 (* --- the `mmstudy cache` maintenance group --------------------------- *)
 
@@ -900,4 +640,4 @@ let () =
   exit
     (Cmdliner.Cmd.eval
        (Cmdliner.Cmd.group info
-          [ list_cmd; run_cmd; sim_cmd; serve_cmd; chaos_cmd; cache_cmd ]))
+          [ list_cmd; run_cmd; sim_cmd; serve_cmd; cache_cmd ]))

@@ -5,6 +5,7 @@ module Perf = Mm_cachesim.Perf_model
 module Spec = Mm_workload.Spec
 module Pool = Mm_sched.Pool
 module Store = Mm_store.Store
+module Sweep = Mm_serve.Sweep
 module Fault = Mm_fault.Fault
 
 type id = {
@@ -28,13 +29,26 @@ type key = {
   compute : unit -> Engine.measurement;
 }
 
-(* One configuration being simulated right now.  Late requesters for the
-   same id block on the cell instead of recomputing. *)
-type cell = {
+(* One value being produced right now.  Late requesters for the same key
+   block on the cell instead of recomputing. *)
+type 'v cell = {
   c_mutex : Mutex.t;
   c_cond : Condition.t;
-  mutable c_state :
-    [ `Pending | `Done of Engine.measurement | `Failed of exn ];
+  mutable c_state : [ `Pending | `Done of 'v | `Failed of exn ];
+}
+
+(* One memo layer: the in-process table over a typed store codec.  The
+   context holds two — measurements by [id], serve sweeps by their
+   canonical key string — and resolves both through [resolve]. *)
+type ('k, 'v) memo = {
+  kind : string;  (* store payload-kind tag *)
+  key_of : 'k -> string;  (* the canonical string the store digests *)
+  encode : 'v -> string;
+  decode : string -> ('v, string) result;
+  table : ('k, 'v) Hashtbl.t;
+  inflight : ('k, 'v cell) Hashtbl.t;
+  mutable computed : int;
+  mutable disk_hits : int;
 }
 
 type t = {
@@ -42,15 +56,32 @@ type t = {
   seed : int;
   store : Store.t option;  (* read-through / write-behind disk layer *)
   refresh : bool;  (* skip store reads (still write) — force recompute *)
-  lock : Mutex.t;  (* guards cache, inflight, blob_cache and all counters *)
-  cache : (id, Engine.measurement) Hashtbl.t;
-  inflight : (id, cell) Hashtbl.t;
-  blob_cache : (string * string, string) Hashtbl.t;  (* (kind, key) *)
-  mutable n_simulated : int;
-  mutable n_disk_hits : int;
-  mutable n_blob_computed : int;
-  mutable n_blob_disk_hits : int;
+  lock : Mutex.t;  (* guards both memos' tables, cells and counters *)
+  measurements : (id, Engine.measurement) memo;
+  sweeps : (string, Sweep.point list) memo;
 }
+
+let memo ~kind ~key_of ~encode ~decode =
+  {
+    kind;
+    key_of;
+    encode;
+    decode;
+    table = Hashtbl.create 64;
+    inflight = Hashtbl.create 8;
+    computed = 0;
+    disk_hits = 0;
+  }
+
+(* The canonical string the persistent store digests.  Every [id] field
+   appears, fully expanded; the scale is printed with %h so two scales
+   that differ in any bit get distinct keys. *)
+let store_key_of_id (i : id) =
+  Printf.sprintf
+    "machine=%s;cores=%d;kind=%s;spec=%s;restart=%s;large_pages=%b;ruby=%b;measure=%d;scale=%h;seed=%d"
+    i.k_machine i.k_cores i.k_kind i.k_spec
+    (match i.k_restart with None -> "none" | Some p -> string_of_int p)
+    i.k_large_pages i.k_ruby i.k_measure i.k_scale i.k_seed
 
 let create ?(scale = 0.25) ?(seed = 42) ?store ?(refresh = false) () =
   assert (scale > 0.0 && scale <= 1.0);
@@ -60,13 +91,13 @@ let create ?(scale = 0.25) ?(seed = 42) ?store ?(refresh = false) () =
     store;
     refresh;
     lock = Mutex.create ();
-    cache = Hashtbl.create 64;
-    inflight = Hashtbl.create 8;
-    blob_cache = Hashtbl.create 16;
-    n_simulated = 0;
-    n_disk_hits = 0;
-    n_blob_computed = 0;
-    n_blob_disk_hits = 0;
+    measurements =
+      memo ~kind:Store.default_kind ~key_of:store_key_of_id
+        ~encode:Engine.measurement_to_string
+        ~decode:Engine.measurement_of_string;
+    sweeps =
+      memo ~kind:"serve" ~key_of:Fun.id ~encode:Sweep.points_to_string
+        ~decode:Sweep.points_of_string;
   }
 
 let scale t = t.scale
@@ -75,17 +106,19 @@ let seed t = t.seed
 
 let store t = t.store
 
-let simulated t =
+let locked t f =
   Mutex.lock t.lock;
-  let n = t.n_simulated in
+  let v = f () in
   Mutex.unlock t.lock;
-  n
+  v
 
-let disk_hits t =
-  Mutex.lock t.lock;
-  let n = t.n_disk_hits in
-  Mutex.unlock t.lock;
-  n
+let simulated t = locked t (fun () -> t.measurements.computed)
+
+let disk_hits t = locked t (fun () -> t.measurements.disk_hits)
+
+let blob_computed t = locked t (fun () -> t.sweeps.computed)
+
+let blob_disk_hits t = locked t (fun () -> t.sweeps.disk_hits)
 
 let key_name k =
   let i = k.key_id in
@@ -99,16 +132,6 @@ let key_name k =
      else "")
     (Printf.sprintf "@%g" i.k_scale)
     i.k_seed
-
-(* The canonical string the persistent store digests.  Every [id] field
-   appears, fully expanded; the scale is printed with %h so two scales
-   that differ in any bit get distinct keys. *)
-let store_key_of_id (i : id) =
-  Printf.sprintf
-    "machine=%s;cores=%d;kind=%s;spec=%s;restart=%s;large_pages=%b;ruby=%b;measure=%d;scale=%h;seed=%d"
-    i.k_machine i.k_cores i.k_kind i.k_spec
-    (match i.k_restart with None -> "none" | Some p -> string_of_int p)
-    i.k_large_pages i.k_ruby i.k_measure i.k_scale i.k_seed
 
 let store_key k = store_key_of_id k.key_id
 
@@ -162,49 +185,49 @@ let store_errors t =
 
 let store_degraded t = store_errors t >= degrade_threshold
 
-(* Disk layer: a validated read of one id's measurement, or None.  Any
-   store or decode failure is a miss — the caller recomputes and the
+(* Disk layer: a validated read of one key's value, or None.  Any store
+   or decode failure is a miss — the caller recomputes and the
    write-behind overwrites the bad entry. *)
-let read_store t id =
+let read_store t memo k =
   match t.store with
   | Some s when not t.refresh && not (store_degraded t) -> (
-    match Store.find s ~key:(store_key_of_id id) with
+    match Store.find s ~key:(memo.key_of k) with
     | None -> None
-    | Some payload -> (
-      match Engine.measurement_of_string payload with
-      | Ok m -> Some m
-      | Error _ -> None))
+    | Some payload -> Result.to_option (memo.decode payload))
   | Some _ | None -> None
 
 (* Write-behind is best-effort: a full disk or read-only store directory
    (or a persistently-injected write fault) must not fail the run that
    just produced a perfectly good result. *)
-let write_store t id m =
+let write_store t memo k v =
   match t.store with
   | Some s when not (store_degraded t) -> (
     try
-      Store.store s ~key:(store_key_of_id id)
-        ~data:(Engine.measurement_to_string m) ()
+      Store.store s ~kind:memo.kind ~key:(memo.key_of k)
+        ~data:(memo.encode v) ()
     with Sys_error _ | Unix.Unix_error _ | Fault.Injected _ -> ())
   | Some _ | None -> ()
 
-(* Force a key: return the memoized measurement, computing it at most once
-   per process.  Concurrent requests for the same id rendezvous on an
-   in-flight cell; distinct ids simulate concurrently without holding
+let outcome_value = function
+  | `Done v -> v
+  | `Failed e -> raise e
+  | `Pending -> assert false
+
+(* Resolve one key of [memo], computing it at most once per process.
+   Lookup order is memory hit → disk hit → compute (+ write-behind).
+   Concurrent requests for the same key rendezvous on an in-flight cell,
+   which covers the disk read too, so racing requesters cost one file
+   read, not several.  Distinct keys compute concurrently without holding
    [t.lock] (safe because each Engine.run builds its own Memory,
-   Cache_system and RNGs — see lib/runtime/engine.mli).  Lookup order is
-   memory hit → disk hit → simulate (+ write-behind); the in-flight
-   rendezvous covers the disk read too, so racing requesters cost one
-   file read, not several. *)
-let force t key =
-  let id = key.key_id in
+   Cache_system and RNGs — see lib/runtime/engine.mli). *)
+let resolve t memo k compute =
   Mutex.lock t.lock;
-  match Hashtbl.find_opt t.cache id with
-  | Some m ->
+  match Hashtbl.find_opt memo.table k with
+  | Some v ->
     Mutex.unlock t.lock;
-    m
+    v
   | None -> (
-    match Hashtbl.find_opt t.inflight id with
+    match Hashtbl.find_opt memo.inflight k with
     | Some cell ->
       Mutex.unlock t.lock;
       Mutex.lock cell.c_mutex;
@@ -213,10 +236,7 @@ let force t key =
       done;
       let state = cell.c_state in
       Mutex.unlock cell.c_mutex;
-      (match state with
-      | `Done m -> m
-      | `Failed e -> raise e
-      | `Pending -> assert false)
+      outcome_value state
     | None ->
       let cell =
         {
@@ -225,35 +245,36 @@ let force t key =
           c_state = `Pending;
         }
       in
-      Hashtbl.add t.inflight id cell;
+      Hashtbl.add memo.inflight k cell;
       Mutex.unlock t.lock;
       let outcome, from_disk =
-        match read_store t id with
-        | Some m -> (`Done m, true)
+        match read_store t memo k with
+        | Some v -> (`Done v, true)
         | None -> (
-          match (try `Done (key.compute ()) with e -> `Failed e) with
-          | `Done m as done_ ->
-            write_store t id m;
-            (done_, false)
-          | `Failed _ as failed -> (failed, false))
+          match compute () with
+          | v ->
+            write_store t memo k v;
+            (`Done v, false)
+          | exception e -> (`Failed e, false))
       in
       Mutex.lock t.lock;
-      Hashtbl.remove t.inflight id;
+      Hashtbl.remove memo.inflight k;
       (match outcome with
-      | `Done m ->
-        Hashtbl.add t.cache id m;
-        if from_disk then t.n_disk_hits <- t.n_disk_hits + 1
-        else t.n_simulated <- t.n_simulated + 1
+      | `Done v ->
+        Hashtbl.add memo.table k v;
+        if from_disk then memo.disk_hits <- memo.disk_hits + 1
+        else memo.computed <- memo.computed + 1
       | `Failed _ -> ());
       Mutex.unlock t.lock;
       Mutex.lock cell.c_mutex;
       cell.c_state <- outcome;
       Condition.broadcast cell.c_cond;
       Mutex.unlock cell.c_mutex;
-      (match outcome with
-      | `Done m -> m
-      | `Failed e -> raise e
-      | `Pending -> assert false))
+      outcome_value outcome)
+
+let force t key = resolve t t.measurements key.key_id key.compute
+
+let force_sweep t ~key ~compute = resolve t t.sweeps key compute
 
 let php_key t ~machine ~cores ~kind ~spec ?large_pages_override ?scale_override
     () =
@@ -340,70 +361,14 @@ let prefetch t ~jobs keys =
      cheap; [force] re-checks under the lock, this is only an early cut.
      One lock acquisition over the whole filter — taking and releasing
      the lock per key serialized against concurrent forces for nothing. *)
-  Mutex.lock t.lock;
-  let fresh = List.filter (fun k -> not (Hashtbl.mem t.cache k.key_id)) keys in
-  Mutex.unlock t.lock;
+  let fresh =
+    locked t (fun () ->
+        List.filter
+          (fun k -> not (Hashtbl.mem t.measurements.table k.key_id))
+          keys)
+  in
   ignore
     (Pool.run ~jobs (List.map (fun k () -> ignore (force t k)) fresh) : unit list)
-
-(* --- derived-artifact blobs ------------------------------------------ *)
-
-let blob_computed t =
-  Mutex.lock t.lock;
-  let n = t.n_blob_computed in
-  Mutex.unlock t.lock;
-  n
-
-let blob_disk_hits t =
-  Mutex.lock t.lock;
-  let n = t.n_blob_disk_hits in
-  Mutex.unlock t.lock;
-  n
-
-(* Same lookup discipline as [force] — memory hit → disk hit → compute,
-   with best-effort write-behind — but for opaque derived payloads (serve
-   sweeps).  [valid] guards the disk path: a stored payload the caller's
-   codec rejects is a miss, so blobs self-heal exactly like
-   measurements.  No in-flight rendezvous: blobs are computed by
-   sequential render passes, and the only cost of a rare race is one
-   duplicate computation of a cheap artifact. *)
-let force_blob t ~kind ~key ~valid ~compute =
-  let ck = (kind, key) in
-  Mutex.lock t.lock;
-  match Hashtbl.find_opt t.blob_cache ck with
-  | Some payload ->
-    Mutex.unlock t.lock;
-    payload
-  | None ->
-    Mutex.unlock t.lock;
-    let from_store =
-      match t.store with
-      | Some s when not t.refresh && not (store_degraded t) -> (
-        match Store.find s ~key with
-        | Some payload when valid payload -> Some payload
-        | Some _ | None -> None)
-      | Some _ | None -> None
-    in
-    let payload, from_disk =
-      match from_store with
-      | Some p -> (p, true)
-      | None ->
-        let p = compute () in
-        (match t.store with
-        | Some s when not (store_degraded t) -> (
-          try Store.store s ~kind ~key ~data:p ()
-          with Sys_error _ | Unix.Unix_error _ | Fault.Injected _ -> ())
-        | Some _ | None -> ());
-        (p, false)
-    in
-    Mutex.lock t.lock;
-    if not (Hashtbl.mem t.blob_cache ck) then begin
-      Hashtbl.add t.blob_cache ck payload;
-      if from_disk then t.n_blob_disk_hits <- t.n_blob_disk_hits + 1
-      else t.n_blob_computed <- t.n_blob_computed + 1
-    end;
-    Mutex.unlock t.lock;
-    payload
 
 let mgmt_fraction (m : Engine.measurement) =
   let p = m.Engine.perf in

@@ -50,9 +50,6 @@ val php_kinds : Mm_runtime.Alloc_factory.kind list
 val ruby_kinds : Mm_runtime.Alloc_factory.kind list
 (** §4.4's four allocators: glibc, Hoard, TCmalloc, DDmalloc. *)
 
-val dd_kind_for : Mm_cachesim.Machine.t -> Mm_runtime.Alloc_factory.kind
-(** DDmalloc configured as the paper ran it on this machine. *)
-
 (** {2 Keys — planned configurations} *)
 
 type key
@@ -80,8 +77,8 @@ val php_key :
   ?scale_override:float ->
   unit ->
   key
-(** Plan a PHP-runtime run (freeAll at each transaction end).
-    [scale_override] lets sweeps that need a reduced transaction scale
+(** Plan a PHP-runtime run (freeAll at each transaction end).  [Dd None]
+    means DDmalloc as the paper ran it on [machine].  [scale_override] lets sweeps that need a reduced transaction scale
     (e.g. the quadratic address-ordered free-list ablation) stay inside
     the memo table; the scale is part of the key. *)
 
@@ -126,32 +123,30 @@ val store_degraded : t -> bool
     unavailable and every later {!force} simulates in memory.  Results
     are unaffected — degradation changes counters, never output bytes. *)
 
-(** {2 Derived-artifact blobs}
+(** {2 Serve sweeps}
 
-    Experiments that post-process measurements into a second artifact —
-    the serving simulator's latency sweeps — memoize that artifact here:
-    same memory → disk → compute discipline as {!force}, but over opaque
-    payload strings keyed by the caller, stored with a payload-kind tag
-    so store diagnostics can tell sweeps from measurements. *)
+    The serving simulator's latency sweeps are derived from measurements
+    and memoized here through the same path as {!force}: memory → disk →
+    compute, with in-flight dedup, stored as ["serve"]-kind entries in
+    the {!Mm_serve.Sweep} codec.  Sweeps are kept decoded, so a stored
+    sweep is decoded once, on the disk read. *)
 
-val force_blob :
+val force_sweep :
   t ->
-  kind:string ->
   key:string ->
-  valid:(string -> bool) ->
-  compute:(unit -> string) ->
-  string
-(** Memoized derived payload.  [key] must be a canonical string fully
-    determining the payload (include the underlying {!store_key}s and
-    every derivation parameter); [kind] tags the store entry (e.g.
-    ["serve"]); a disk payload failing [valid] is treated as a miss and
-    recomputed.  Respects [refresh] (skip reads, still write). *)
+  compute:(unit -> Mm_serve.Sweep.point list) ->
+  Mm_serve.Sweep.point list
+(** Memoized sweep.  [key] must be a canonical string fully determining
+    the sweep (include the underlying {!store_key}s and every derivation
+    parameter).  A stored payload that fails to decode is a miss: it is
+    recomputed and overwritten.  Respects [refresh] (skip reads, still
+    write).  Concurrent forces of one key compute it once. *)
 
 val blob_computed : t -> int
-(** Blobs computed fresh (memo and store misses). *)
+(** Sweeps computed fresh (memo and store misses). *)
 
 val blob_disk_hits : t -> int
-(** Blobs served from the persistent store. *)
+(** Sweeps served from the persistent store. *)
 
 (** {2 Memoized run + read (force of an equivalent key)} *)
 

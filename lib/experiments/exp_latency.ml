@@ -9,7 +9,7 @@ module Sim = Mm_serve.Sim
 module Sweep = Mm_serve.Sweep
 
 (* Fixed serving parameters.  Any change here alters stored sweep
-   payloads, so it must ride a Version.serve_semantics bump (the blob key
+   payloads, so it must ride a Version.serve_semantics bump (the sweep key
    spells the parameters out, but the bump rule keeps intent honest). *)
 let cores = 8
 
@@ -45,18 +45,18 @@ let plan ctx =
         Spec.php_apps)
     machines
 
-(* One allocator's sweep over [rates], memoized as a "serve" blob.  The
-   blob key chains the measurement's full store key (machine, allocator
-   config, spec, scale, seed — everything) with every serving parameter,
-   so any change to either recomputes rather than aliasing.  Exposed
-   generically because `mmstudy serve` sweeps user-chosen parameters
-   through the same memo layer. *)
+(* One allocator's sweep over [rates], memoized as a "serve" store
+   entry.  The key chains the measurement's full store key (machine,
+   allocator config, spec, scale, seed — everything) with every serving
+   parameter, so any change to either recomputes rather than aliasing.
+   Exposed generically because `mmstudy serve` sweeps user-chosen
+   parameters through the same memo layer. *)
 let sweep_points ?(policy = Mm_serve.Policy.none) ctx ~machine ~spec ~kind
     ~cores ~arrival ~dispatch ~requests ~warmup_frac ~rates =
   let meas_key = Context.php_key ctx ~machine ~cores ~kind ~spec () in
   let m = Context.force ctx meas_key in
   let service = Contention.service_seconds ~machine ~measurement:m in
-  let blob_key =
+  let sweep_key =
     Printf.sprintf
       "serve%d;meas{%s};cores=%d;arrival=%s;dispatch=%s;requests=%d;warmup=%h;policy{%s};rates=%s"
       Sweep.schema_version
@@ -66,33 +66,19 @@ let sweep_points ?(policy = Mm_serve.Policy.none) ctx ~machine ~spec ~kind
       (Mm_serve.Policy.to_key policy)
       (String.concat "," (List.map (Printf.sprintf "%h") rates))
   in
-  let compute () =
-    let cfg =
-      {
-        Sim.cores;
-        arrival;
-        dispatch;
-        rate = 1.0;
-        requests;
-        warmup_frac;
-        seed = Context.seed ctx;
-      }
-    in
-    Sweep.points_to_string (Sweep.run ~policy cfg ~service ~rates)
-  in
-  let payload =
-    Context.force_blob ctx ~kind:"serve" ~key:blob_key
-      ~valid:(fun s -> Result.is_ok (Sweep.points_of_string s))
-      ~compute
-  in
-  match Sweep.points_of_string payload with
-  | Ok points -> points
-  | Error _ ->
-    (* Unreachable via the store ([valid] gates it); defensive for a
-       racing in-process overwrite. *)
-    (match Sweep.points_of_string (compute ()) with
-    | Ok points -> points
-    | Error e -> failwith ("serve sweep codec: " ^ e))
+  Context.force_sweep ctx ~key:sweep_key ~compute:(fun () ->
+      let cfg =
+        {
+          Sim.cores;
+          arrival;
+          dispatch;
+          rate = 1.0;
+          requests;
+          warmup_frac;
+          seed = Context.seed ctx;
+        }
+      in
+      Sweep.run ~policy cfg ~service ~rates)
 
 let capacity_of ctx ~machine ~spec ~kind ~cores =
   let m = Context.run_php ctx ~machine ~cores ~kind ~spec () in

@@ -10,7 +10,7 @@
     highest offered rate each allocator sustained.
 
     Sweeps are derived artifacts: each is memoized through
-    {!Context.force_blob} (payload kind ["serve"]), keyed by the
+    {!Context.force_sweep} (payload kind ["serve"]), keyed by the
     underlying measurement's store key plus every simulation parameter,
     so warm runs simulate nothing and render byte-identically. *)
 
@@ -36,7 +36,7 @@ val sweep_points :
 (** One memoized sweep: force the (machine, cores, kind, spec)
     measurement, derive its contention table, run (or read from the
     store) the offered-load sweep.  [policy] (default
-    {!Mm_serve.Policy.none}) is part of the blob key, so policy sweeps
+    {!Mm_serve.Policy.none}) is part of the sweep key, so policy sweeps
     and plain sweeps never alias.  This is the layer `mmstudy serve` and
     the resilience experiment drive with their own parameters; the
     experiment's tables are partial applications of it. *)

@@ -14,8 +14,8 @@
     All allocators face one shared policy per machine (deadline derived
     from the default allocator's service time) and one shared load axis
     (fractions of default's capacity), so collapse onsets are directly
-    comparable.  Sweeps are memoized as ["serve"] blobs through
-    {!Exp_latency.sweep_points} with the policy in the blob key. *)
+    comparable.  Sweeps are memoized as ["serve"] store entries through
+    {!Exp_latency.sweep_points} with the policy in the sweep key. *)
 
 val plan : Context.t -> Context.key list
 (** The 8-core MediaWiki read-only measurements on both machines (a

@@ -1,16 +1,15 @@
 module Rng = Mm_stats.Rng
 
-type site = Store_read | Store_write | Store_torn | Worker_crash
+type site = Store_read | Store_write | Store_torn
 
 exception Injected of site
 
-let all_sites = [ Store_read; Store_write; Store_torn; Worker_crash ]
+let all_sites = [ Store_read; Store_write; Store_torn ]
 
 let site_index = function
   | Store_read -> 0
   | Store_write -> 1
   | Store_torn -> 2
-  | Worker_crash -> 3
 
 let n_sites = List.length all_sites
 
@@ -18,13 +17,11 @@ let site_name = function
   | Store_read -> "store-read"
   | Store_write -> "store-write"
   | Store_torn -> "store-torn"
-  | Worker_crash -> "worker-crash"
 
 let default_rate = function
   | Store_read -> 0.05
   | Store_write -> 0.05
   | Store_torn -> 0.03
-  | Worker_crash -> 0.03
 
 type plan = {
   p_seed : int;
@@ -33,8 +30,8 @@ type plan = {
   fired : int array;
 }
 
-(* One mutex guards the whole module: probes are rare (store I/O, task
-   pickup) and cheap, and the RNG streams are not thread-safe. *)
+(* One mutex guards the whole module: probes are rare (store I/O) and
+   cheap, and the RNG streams are not thread-safe. *)
 let mutex = Mutex.create ()
 
 let state : plan option ref = ref None
@@ -113,7 +110,5 @@ let injected site =
       | None -> 0
       | Some p -> p.fired.(site_index site))
 
-let counts () = List.map (fun s -> (s, injected s)) all_sites
-
 let total_injected () =
-  List.fold_left (fun acc (_, n) -> acc + n) 0 (counts ())
+  List.fold_left (fun acc s -> acc + injected s) 0 all_sites

@@ -1,13 +1,13 @@
 (** Deterministic, process-global fault injection.
 
     The injector drives every simulated failure in the stack — store I/O
-    errors, torn writes, scheduler worker crashes — from one seeded plan so
-    a failing run can be replayed exactly.  It is disabled by default and
-    costs one mutex-guarded branch per probe site when enabled.
+    errors and torn writes — from one seeded plan so a failing run can be
+    replayed exactly.  It is disabled by default and costs one
+    mutex-guarded branch per probe site when enabled.
 
     Enable it either from the environment ([MM_FAULT_SEED=<int>], read
     lazily on the first probe) or programmatically with {!configure}
-    (tests, the [mmstudy chaos] drill).
+    (tests).
 
     Each {!site} owns an independent split RNG stream, so firing one site
     never perturbs another site's decision sequence.  Within a single
@@ -25,11 +25,10 @@ type site =
   | Store_read  (** I/O error while reading a store entry *)
   | Store_write  (** I/O error while writing a store entry *)
   | Store_torn  (** store write published truncated (torn write) *)
-  | Worker_crash  (** scheduler worker dies at task pickup *)
 
 exception Injected of site
 (** Raised by injection points to simulate the failure; carries the site so
-    supervisors can distinguish injected crashes from real task errors. *)
+    handlers can tell injected failures from real I/O errors. *)
 
 val all_sites : site list
 
@@ -67,8 +66,5 @@ val fraction : site -> float
 
 val injected : site -> int
 (** How many times [site] has fired since the plan was (re)armed. *)
-
-val counts : unit -> (site * int) list
-(** All per-site counters, in {!all_sites} order. *)
 
 val total_injected : unit -> int

@@ -7,8 +7,9 @@
     simulator is that observer; the profiler attributes the resulting hits,
     misses, and stall cycles to the access's {!context}.
 
-    The boxed {!t} record survives as a convenience for tests and ad-hoc
-    tracing via {!Memory.set_boxed_access_observer}. *)
+    The {!t} record is for tests and ad-hoc tracing: an observer that
+    wants one builds it from the four arguments (off the measured path,
+    since it allocates). *)
 
 type context =
   | Mgmt  (** inside malloc/free/realloc/freeAll — the allocator itself *)

@@ -71,7 +71,7 @@ val admission_of_name : string -> (admission, string) result
 (** Inverse of {!admission_name}; the [Error] names the valid forms. *)
 
 val to_key : t -> string
-(** Canonical, bit-exact ([%h]) rendering for store blob keys: equal
+(** Canonical, bit-exact ([%h]) rendering for stored sweep keys: equal
     policies produce equal keys. *)
 
 val describe : t -> string

@@ -102,6 +102,6 @@ let () =
       ( "ok paths",
         [
           ok "list exits zero" "list" [ "resilience"; "mediawiki-ro" ];
-          ok "help exits zero" "--help=plain" [ "chaos" ];
+          ok "help exits zero" "--help=plain" [ "cache" ];
         ] );
     ]

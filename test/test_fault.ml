@@ -22,7 +22,7 @@ let with_fault_plan ?rates ~seed f =
 
 let test_site_names_distinct () =
   let names = List.map Fault.site_name Fault.all_sites in
-  Alcotest.(check int) "four sites" 4 (List.length names);
+  Alcotest.(check int) "three sites" 3 (List.length names);
   Alcotest.(check int) "names distinct"
     (List.length names)
     (List.length (List.sort_uniq compare names));
@@ -80,7 +80,7 @@ let test_sites_draw_independent_streams () =
   let interleaved =
     with_fault_plan ~seed:7 (fun () ->
         List.init 500 (fun _ ->
-            ignore (Fault.fire Fault.Worker_crash : bool);
+            ignore (Fault.fire Fault.Store_write : bool);
             let v = Fault.fire Fault.Store_read in
             ignore (Fault.fire Fault.Store_torn : bool);
             v))
@@ -130,14 +130,6 @@ let test_counters_track_fires () =
         fired;
       let total = List.fold_left (fun acc (_, n) -> acc + n) 0 fired in
       Alcotest.(check int) "total is the sum" total (Fault.total_injected ());
-      let counts = Fault.counts () in
-      List.iter
-        (fun (site, n) ->
-          Alcotest.(check (option int))
-            (Fault.site_name site)
-            (Some n)
-            (List.assoc_opt site counts))
-        fired;
       Alcotest.(check bool) "defaults are nonzero for every site" true
         (List.for_all (fun s -> Fault.default_rate s > 0.0) Fault.all_sites))
 

@@ -556,7 +556,7 @@ let test_region_saturates_first () =
 
 let test_sweep_blob_memoized () =
   (* Same parameters twice: the second call must be served from the
-     in-memory blob cache, not recomputed. *)
+     in-memory sweep memo, not recomputed. *)
   let call () =
     Lat.sweep_points ctx ~machine ~spec ~kind:Factory.Php_default ~cores:8
       ~arrival:Arrival.Bursty ~dispatch:Dispatch.Round_robin ~requests:500

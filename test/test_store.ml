@@ -17,6 +17,7 @@ module Events = Mm_cachesim.Events
 module Perf = Mm_cachesim.Perf_model
 module Spec = Mm_workload.Spec
 module Access = Mm_memsim.Access
+module Sweep = Mm_serve.Sweep
 module Pool = Mm_sched.Pool
 module Fault = Mm_fault.Fault
 
@@ -71,6 +72,30 @@ let mk_ctx ?store ?refresh ?(seed = 42) () =
 let force_one ctx =
   Ctx.run_php ctx ~machine:Machine.xeon ~cores:1 ~kind:Factory.Php_default
     ~spec ()
+
+(* A one-point sweep whose fields all derive from [v]: distinct per [v]
+   and a faithful round-trip through the store codec. *)
+let sweep_of v =
+  let f = float_of_int v in
+  [
+    {
+      Sweep.rate = f;
+      p50 = f;
+      p90 = f;
+      p99 = f;
+      p999 = f;
+      lat_max = f;
+      achieved_rps = f;
+      goodput_rps = f;
+      utilization = f;
+      measured = v;
+      saturated = false;
+      shed_rate = 0.0;
+      timeout_rate = 0.0;
+      amplification = 1.0;
+      failed = 0;
+    };
+  ]
 
 (* --- the raw store --------------------------------------------------- *)
 
@@ -296,7 +321,6 @@ let test_store_survives_injection () =
         (Fault.Store_read, 0.3);
         (Fault.Store_write, 0.3);
         (Fault.Store_torn, 0.25);
-        (Fault.Worker_crash, 0.0);
       ]
     (fun () ->
       let dir = temp_dir () in
@@ -325,24 +349,22 @@ let test_context_degrades_when_store_unavailable () =
         (Fault.Store_read, 1.0);
         (Fault.Store_write, 1.0);
         (Fault.Store_torn, 0.0);
-        (Fault.Worker_crash, 0.0);
       ]
     (fun () ->
       let dir = temp_dir () in
       let store = Store.open_ ~dir ~fingerprint:fp () in
       let ctx = mk_ctx ~store () in
       Alcotest.(check bool) "healthy at first" false (Ctx.store_degraded ctx);
-      let force_blob i =
-        Ctx.force_blob ctx ~kind:"serve"
+      let force_sweep i =
+        Ctx.force_sweep ctx
           ~key:(Printf.sprintf "degrade-%d" i)
-          ~valid:(fun _ -> true)
-          ~compute:(fun () -> Printf.sprintf "value-%d" i)
+          ~compute:(fun () -> sweep_of i)
       in
       for i = 0 to 5 do
-        Alcotest.(check string)
-          (Printf.sprintf "blob %d correct despite store" i)
-          (Printf.sprintf "value-%d" i)
-          (force_blob i)
+        Alcotest.(check bool)
+          (Printf.sprintf "sweep %d correct despite store" i)
+          true
+          (force_sweep i = sweep_of i)
       done;
       Alcotest.(check bool) "degraded after repeated failures" true
         (Ctx.store_degraded ctx);
@@ -350,10 +372,8 @@ let test_context_degrades_when_store_unavailable () =
       Alcotest.(check bool) "errors were counted" true (errors > 0);
       (* Once degraded the store is not touched again: error count is
          frozen, results still correct. *)
-      Alcotest.(check string) "post-degrade blob correct" "value-99"
-        (Ctx.force_blob ctx ~kind:"serve" ~key:"degrade-99"
-           ~valid:(fun _ -> true)
-           ~compute:(fun () -> "value-99"));
+      Alcotest.(check bool) "post-degrade sweep correct" true
+        (force_sweep 99 = sweep_of 99);
       Alcotest.(check int) "error count frozen" errors (Ctx.store_errors ctx);
       Alcotest.(check int) "nothing reached the disk" 0
         (Store.stats ~dir).Store.entries)
@@ -624,41 +644,94 @@ let test_racing_workers_simulate_once () =
   Alcotest.(check int) "exactly one simulate" 1 (Ctx.simulated ctx);
   check_int_strict "exactly one store entry" 1 (Store.stats ~dir).Store.entries
 
+let test_racing_sweeps_compute_once () =
+  let dir = temp_dir () in
+  let store = Store.open_ ~dir ~fingerprint:fp () in
+  let ctx = mk_ctx ~store () in
+  let computes = Atomic.make 0 in
+  let compute () =
+    Atomic.incr computes;
+    (* Long enough that the other worker arrives while this is in flight. *)
+    Unix.sleepf 0.05;
+    sweep_of 3
+  in
+  (* Both workers start before either forces: the in-flight rendezvous,
+     not a memory hit, must collapse them to one compute. *)
+  let started = Atomic.make 0 in
+  let force () =
+    Atomic.incr started;
+    while Atomic.get started < 2 do
+      Domain.cpu_relax ()
+    done;
+    Ctx.force_sweep ctx ~key:"race-k" ~compute
+  in
+  (match Pool.run ~jobs:2 [ force; force ] with
+  | [ a; b ] -> Alcotest.(check bool) "both workers share one sweep" true (a == b)
+  | _ -> Alcotest.fail "expected two results");
+  Alcotest.(check int) "exactly one compute" 1 (Atomic.get computes);
+  Alcotest.(check int) "one sweep counted" 1 (Ctx.blob_computed ctx);
+  check_int_strict "exactly one store entry" 1 (Store.stats ~dir).Store.entries
+
 let test_blob_layer () =
   let dir = temp_dir () in
   let store = Store.open_ ~dir ~fingerprint:fp () in
-  let valid s = String.length s > 0 && s.[0] = 'P' in
   let computes = ref 0 in
   let compute () =
     incr computes;
-    "Payload"
+    sweep_of 7
   in
-  let force ctx = Ctx.force_blob ctx ~kind:"serve" ~key:"blob-k" ~valid ~compute in
+  let force what ctx =
+    Alcotest.(check bool) what true
+      (Ctx.force_sweep ctx ~key:"sweep-k" ~compute = sweep_of 7)
+  in
   let cold = mk_ctx ~store () in
-  Alcotest.(check string) "computed" "Payload" (force cold);
-  Alcotest.(check string) "memory hit" "Payload" (force cold);
+  force "computed" cold;
+  force "memory hit" cold;
   Alcotest.(check int) "one compute" 1 !computes;
   Alcotest.(check int) "ctx counted one" 1 (Ctx.blob_computed cold);
   Alcotest.(check int) "no disk hit yet" 0 (Ctx.blob_disk_hits cold);
   (* A fresh context finds the write-behind on disk. *)
   let warm = mk_ctx ~store () in
-  Alcotest.(check string) "disk hit" "Payload" (force warm);
+  force "disk hit" warm;
   check_int_strict "no recompute" 1 !computes;
   check_int_strict "warm disk hit counted" 1 (Ctx.blob_disk_hits warm);
-  (* A stored payload failing [valid] is a miss: recompute and heal. *)
+  (* A stored payload that does not decode is a miss: recompute and heal. *)
   let computes_before = !computes in
-  store_intact store ~key:"blob-k" ~data:"corrupt" ~kind:"serve";
+  store_intact store ~key:"sweep-k" ~data:"corrupt" ~kind:"serve";
   let healed = mk_ctx ~store () in
-  Alcotest.(check string) "invalid payload recomputed" "Payload" (force healed);
+  force "undecodable payload recomputed" healed;
   Alcotest.(check int) "recompute happened" (computes_before + 1) !computes;
   let again = mk_ctx ~store () in
-  Alcotest.(check string) "healed on disk" "Payload" (force again);
+  force "healed on disk" again;
   check_int_strict "healed serves from disk" (computes_before + 1) !computes;
   (* refresh skips the read but rewrites. *)
   let computes_before = !computes in
   let refresh = mk_ctx ~store ~refresh:true () in
-  Alcotest.(check string) "refresh recomputes" "Payload" (force refresh);
+  force "refresh recomputes" refresh;
   Alcotest.(check int) "refresh computed" (computes_before + 1) !computes
+
+let test_faults_change_no_measurement_byte () =
+  (* The pipeline under the default fault plan: a pooled prefetch through
+     a store absorbing injected I/O errors and torn writes, then a fresh
+     context re-reading whatever landed, must both produce the bytes of a
+     fault-free run.  The reference context has no store, so it touches
+     no fault site. *)
+  let keys ctx =
+    List.map
+      (fun kind -> Ctx.php_key ctx ~machine:Machine.xeon ~cores:1 ~kind ~spec ())
+      Ctx.php_kinds
+  in
+  let bytes ctx =
+    List.map (fun k -> Engine.measurement_to_string (Ctx.force ctx k)) (keys ctx)
+  in
+  let reference = bytes (mk_ctx ()) in
+  with_fault_plan ~seed:42 (fun () ->
+      let dir = temp_dir () in
+      let faulty = mk_ctx ~store:(Store.open_ ~dir ~fingerprint:fp ()) () in
+      Ctx.prefetch faulty ~jobs:2 (keys faulty);
+      Alcotest.(check (list string)) "faulty pass" reference (bytes faulty);
+      let reread = mk_ctx ~store:(Store.open_ ~dir ~fingerprint:fp ()) () in
+      Alcotest.(check (list string)) "re-read pass" reference (bytes reread))
 
 let test_version_fingerprint_shape () =
   Alcotest.(check bool) "fingerprint mentions every component" true
@@ -711,9 +784,13 @@ let () =
             test_fingerprint_flip_invalidates;
           Alcotest.test_case "racing workers simulate once" `Quick
             test_racing_workers_simulate_once;
+          Alcotest.test_case "racing sweeps compute once" `Quick
+            test_racing_sweeps_compute_once;
           Alcotest.test_case "blob layer" `Quick test_blob_layer;
           Alcotest.test_case "degrades when store unavailable" `Quick
             test_context_degrades_when_store_unavailable;
+          Alcotest.test_case "faults change no measurement byte" `Quick
+            test_faults_change_no_measurement_byte;
           Alcotest.test_case "fingerprint shape" `Quick
             test_version_fingerprint_shape;
         ] );
