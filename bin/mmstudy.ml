@@ -172,11 +172,6 @@ let workload_arg =
   Cmdliner.Arg.(
     value & opt string "mediawiki-ro" & info [ "workload" ] ~docv:"W" ~doc)
 
-let machine_of_name = function
-  | "xeon" -> Some Mm_cachesim.Machine.xeon
-  | "niagara" -> Some Mm_cachesim.Machine.niagara
-  | _ -> None
-
 let alloc_names =
   List.map Mm_runtime.Alloc_factory.kind_name Mm_runtime.Alloc_factory.all_kinds
 
@@ -184,6 +179,10 @@ let unknown what name valid =
   `Error
     (false, Printf.sprintf "unknown %s %S; valid: %s" what name
        (String.concat ", " valid))
+
+let unknown_machine name =
+  unknown "machine" name
+    (List.map (fun m -> m.Mm_cachesim.Machine.name) Mm_cachesim.Machine.all)
 
 let unknown_workload name =
   unknown "workload" name
@@ -203,13 +202,13 @@ let sim_cmd =
   in
   let run machine cores alloc workload scale seed jobs cache refresh cache_dir =
     match
-      ( machine_of_name machine,
+      ( Mm_cachesim.Machine.of_name machine,
         Mm_runtime.Alloc_factory.of_name alloc,
         Mm_workload.Spec.by_name workload,
         check_jobs jobs,
         check_cache_flags ~cache ~refresh ~cache_dir )
     with
-    | None, _, _, _, _ -> unknown "machine" machine [ "xeon"; "niagara" ]
+    | None, _, _, _, _ -> unknown_machine machine
     | _, None, _, _, _ -> unknown "allocator" alloc alloc_names
     | _, _, None, _, _ -> unknown_workload workload
     | _, _, _, Error msg, _ | _, _, _, _, Error msg -> `Error (false, msg)
@@ -374,7 +373,7 @@ let serve_cmd =
   let run machine cores workload allocs arrival dispatch rps duration timeout
       retries admission scale seed jobs cache refresh cache_dir =
     match
-      ( machine_of_name machine,
+      ( Mm_cachesim.Machine.of_name machine,
         Mm_workload.Spec.by_name workload,
         parse_allocs allocs,
         Mm_serve.Arrival.of_name arrival,
@@ -382,7 +381,7 @@ let serve_cmd =
         parse_rps rps,
         check_jobs jobs )
     with
-    | None, _, _, _, _, _, _ -> unknown "machine" machine [ "xeon"; "niagara" ]
+    | None, _, _, _, _, _, _ -> unknown_machine machine
     | _, None, _, _, _, _, _ -> unknown_workload workload
     | _, _, Error msg, _, _, _, _ -> `Error (false, msg)
     | _, _, _, None, _, _, _ ->

@@ -86,6 +86,10 @@ let niagara =
     default_processes = 48;
   }
 
+let all = [ xeon; niagara ]
+
+let of_name name = List.find_opt (fun m -> m.name = name) all
+
 let line_shift t =
   let rec go acc v = if v <= 1 then acc else go (acc + 1) (v lsr 1) in
   go 0 t.line_size

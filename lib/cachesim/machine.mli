@@ -50,6 +50,11 @@ val xeon : t
 val niagara : t
 (** 8-core, 32-thread UltraSPARC T1 at 1.2 GHz, 16 GB RAM, Solaris 10. *)
 
+val all : t list
+
+val of_name : string -> t option
+(** Inverse of the [name] field over {!all}. *)
+
 val line_shift : t -> int
 
 val l2_sets_per_core : t -> active_cores:int -> int

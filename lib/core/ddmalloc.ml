@@ -6,6 +6,17 @@ type reuse_policy =
   | Fifo
   | Addr_ordered
 
+let reuse_name = function
+  | Lifo -> "lifo"
+  | Fifo -> "fifo"
+  | Addr_ordered -> "addr"
+
+let reuse_of_name = function
+  | "lifo" -> Some Lifo
+  | "fifo" -> Some Fifo
+  | "addr" -> Some Addr_ordered
+  | _ -> None
+
 type config = {
   segment_size : int;
   arena_size : int;

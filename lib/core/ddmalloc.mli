@@ -40,6 +40,11 @@ type config = {
   reuse : reuse_policy;
 }
 
+val reuse_name : reuse_policy -> string
+(** ["lifo"] | ["fifo"] | ["addr"]: the name in store keys and payloads. *)
+
+val reuse_of_name : string -> reuse_policy option
+
 val config :
   ?segment_size:int ->
   ?arena_size:int ->

@@ -162,10 +162,7 @@ let kind_key = function
       (Core.Size_class.name c.Core.Ddmalloc.scheme)
       (Core.Size_class.class_count c.Core.Ddmalloc.scheme)
       c.Core.Ddmalloc.pid_metadata_offset c.Core.Ddmalloc.large_pages
-      (match c.Core.Ddmalloc.reuse with
-      | Core.Ddmalloc.Lifo -> "lifo"
-      | Core.Ddmalloc.Fifo -> "fifo"
-      | Core.Ddmalloc.Addr_ordered -> "addr")
+      (Core.Ddmalloc.reuse_name c.Core.Ddmalloc.reuse)
   | other -> Factory.kind_name other
 
 (* Graceful degradation: once the store has abandoned this many reads or

@@ -41,6 +41,10 @@ val sweep_points :
     the resilience experiment drive with their own parameters; the
     experiment's tables are partial applications of it. *)
 
+val alloc_label : Mm_runtime.Alloc_factory.kind -> string
+(** Table label of a PHP allocator: ["default"], ["region"], else
+    {!Mm_runtime.Alloc_factory.kind_name}. *)
+
 val capacity_of :
   Context.t ->
   machine:Mm_cachesim.Machine.t ->
@@ -50,16 +54,3 @@ val capacity_of :
   float
 (** All-cores-busy service rate of one configuration, requests/second
     (see {!Mm_serve.Contention.capacity}). *)
-
-type headline = {
-  h_machine : string;
-  h_spec : string;
-  h_alloc : string;
-  h_capacity : float;  (** all-cores-busy service rate, requests/s *)
-  h_max_rps : float;  (** highest sustained offered rate (0 if none) *)
-  h_p99_ms : float;  (** p99 sojourn at 0.8× default capacity, ms *)
-}
-
-val headlines : Context.t -> headline list
-(** The bench artifact: Xeon, MediaWiki read-only, all three PHP
-    allocators (same memoized sweeps the render uses). *)

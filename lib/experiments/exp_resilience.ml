@@ -45,11 +45,6 @@ let plan ctx =
         Context.php_kinds)
     machines
 
-let alloc_label = function
-  | Factory.Php_default -> "default"
-  | Factory.Region -> "region"
-  | k -> Factory.kind_name k
-
 (* The whole experiment shares one policy per machine, derived from the
    default allocator's service time so every allocator faces the same
    client behavior — exactly how one SLO covers a fleet of builds. *)
@@ -110,7 +105,7 @@ let render ctx =
               (fun i (p : Sweep.point) ->
                 Table.add_row t
                   [
-                    (if i = 0 then alloc_label kind else "");
+                    (if i = 0 then Exp_latency.alloc_label kind else "");
                     Printf.sprintf "%.2fx" (List.nth fractions i);
                     Printf.sprintf "%.0f" p.Sweep.goodput_rps;
                     fmt_pct01 (p.Sweep.goodput_rps /. p.Sweep.rate);
@@ -132,12 +127,14 @@ let render ctx =
       in
       List.iter
         (fun (kind, cf) ->
-          Printf.printf "  %-8s collapse onset: %s\n" (alloc_label kind)
-            (fmt_collapse cf))
+          Printf.printf "  %-8s collapse onset: %s\n"
+            (Exp_latency.alloc_label kind) (fmt_collapse cf))
         summaries;
       let find k =
         List.assoc_opt k
-          (List.map (fun (kind, cf) -> (alloc_label kind, cf)) summaries)
+          (List.map
+             (fun (kind, cf) -> (Exp_latency.alloc_label kind, cf))
+             summaries)
         |> Option.join
       in
       (match (find "region", find "default") with
@@ -154,31 +151,3 @@ let render ctx =
         Printf.printf
           "  region never collapsed inside the grid at this scale.\n\n"))
     machines
-
-type headline = {
-  r_machine : string;
-  r_alloc : string;
-  r_collapse_frac : float;  (** 0.0 = no collapse inside the grid *)
-  r_amp_at_cap : float;
-}
-
-let headlines ctx =
-  let machine = Machine.xeon in
-  let cap = default_capacity ctx ~machine in
-  List.map
-    (fun kind ->
-      let points = sweep ctx ~machine ~kind in
-      let at_cap =
-        List.nth points
-          (match List.find_index (fun f -> f = 1.0) fractions with
-          | Some i -> i
-          | None -> assert false)
-      in
-      {
-        r_machine = machine.Machine.name;
-        r_alloc = alloc_label kind;
-        r_collapse_frac =
-          Option.value (collapse_fraction ~cap points) ~default:0.0;
-        r_amp_at_cap = at_cap.Sweep.amplification;
-      })
-    Context.php_kinds

@@ -37,16 +37,3 @@ val fractions : float list
 val default_capacity : Context.t -> machine:Mm_cachesim.Machine.t -> float
 
 val policy_for : Context.t -> machine:Mm_cachesim.Machine.t -> Mm_serve.Policy.t
-
-type headline = {
-  r_machine : string;
-  r_alloc : string;
-  r_collapse_frac : float;
-      (** collapse onset as a fraction of default's capacity; 0.0 = no
-          collapse inside the grid *)
-  r_amp_at_cap : float;  (** retry amplification at 1.0× default capacity *)
-}
-
-val headlines : Context.t -> headline list
-(** The bench artifact: Xeon, MediaWiki read-only, all three PHP
-    allocators (same memoized sweeps the render uses). *)

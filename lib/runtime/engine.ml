@@ -185,13 +185,13 @@ let event_per_txn m counter =
 (* --- measurement serialization ---------------------------------------
 
    The payload format of the persistent measurement store
-   ([Mm_store] via [Mm_experiments.Context]): one "key value" line per
-   field, versioned by the first line.  Floats are printed with %h (hex
-   mantissa) so every finite value round-trips bit-exactly — warm store
-   hits must render byte-identically to the simulation that produced
-   them.  Machine and workload are stored by name (they are closed
-   registries); allocator configurations are stored in full, including
-   the size-class scheme, because the ablations sweep them. *)
+   ([Mm_store] via [Mm_experiments.Context]): an {!Mm_stats.Record} of
+   one "key value" line per field, versioned by the first line.  Machine
+   and workload are stored by name (they are closed registries);
+   allocator configurations are stored in full, including the size-class
+   scheme, because the ablations sweep them. *)
+
+module Record = Mm_stats.Record
 
 let measurement_schema_version = 1
 
@@ -202,23 +202,12 @@ let event_contexts =
     ("kernel", Mm_memsim.Access.Kernel);
   ]
 
-let string_of_reuse = function
-  | Core.Ddmalloc.Lifo -> "lifo"
-  | Core.Ddmalloc.Fifo -> "fifo"
-  | Core.Ddmalloc.Addr_ordered -> "addr"
-
 let measurement_to_string m =
   let b = Buffer.create 2048 in
-  let line k v =
-    Buffer.add_string b k;
-    Buffer.add_char b ' ';
-    Buffer.add_string b v;
-    Buffer.add_char b '\n'
-  in
-  let fl k v = line k (Printf.sprintf "%h" v) in
-  let il k v = line k (string_of_int v) in
-  let bl k v = line k (string_of_bool v) in
-  line "mmstudy.measurement" (string_of_int measurement_schema_version);
+  let w = Record.writer ~item:'\n' ~kv:' ' b in
+  let line = Record.add_string w and il = Record.add_int w in
+  let fl = Record.add_float w and bl = Record.add_bool w in
+  il "mmstudy.measurement" measurement_schema_version;
   let cfg = m.cfg in
   line "machine" cfg.machine.Machine.name;
   il "cores" cfg.active_cores;
@@ -232,14 +221,11 @@ let measurement_to_string m =
     il "kind.dd.segment_size" c.Core.Ddmalloc.segment_size;
     il "kind.dd.arena_size" c.Core.Ddmalloc.arena_size;
     line "kind.dd.scheme.name" (Core.Size_class.name c.Core.Ddmalloc.scheme);
-    line "kind.dd.scheme.sizes"
-      (String.concat " "
-         (Array.to_list
-            (Array.map string_of_int
-               (Core.Size_class.class_sizes c.Core.Ddmalloc.scheme))));
+    Record.add_ints w "kind.dd.scheme.sizes"
+      (Array.to_list (Core.Size_class.class_sizes c.Core.Ddmalloc.scheme));
     bl "kind.dd.pid_metadata_offset" c.Core.Ddmalloc.pid_metadata_offset;
     bl "kind.dd.large_pages" c.Core.Ddmalloc.large_pages;
-    line "kind.dd.reuse" (string_of_reuse c.Core.Ddmalloc.reuse)
+    line "kind.dd.reuse" (Core.Ddmalloc.reuse_name c.Core.Ddmalloc.reuse)
   | other -> line "kind" (Alloc_factory.kind_name other));
   line "spec" cfg.spec.Spec.name;
   fl "scale" cfg.scale;
@@ -247,19 +233,14 @@ let measurement_to_string m =
   il "measure_txns" cfg.measure_txns;
   bl "large_page_heap" cfg.large_page_heap;
   il "seed" cfg.seed;
-  line "restart_period"
-    (match cfg.restart_period with None -> "none" | Some p -> string_of_int p);
+  Record.add_opt_int w "restart_period" cfg.restart_period;
   bl "use_bulk_free" cfg.use_bulk_free;
-  line "processes"
-    (match cfg.processes with None -> "none" | Some p -> string_of_int p);
+  Record.add_opt_int w "processes" cfg.processes;
   il "txns" m.txns;
   List.iter
     (fun (name, ctx) ->
-      line ("events." ^ name)
-        (String.concat " "
-           (List.map
-              (fun c -> string_of_int (Events.get m.events ctx c))
-              Events.all_counters)))
+      Record.add_ints w ("events." ^ name)
+        (List.map (fun c -> Events.get m.events ctx c) Events.all_counters))
     event_contexts;
   let p = m.perf in
   fl "perf.cycles_per_txn" p.Perf_model.cycles_per_txn;
@@ -280,175 +261,113 @@ let measurement_to_string m =
   fl "frees_per_txn" m.frees_per_txn;
   fl "reallocs_per_txn" m.reallocs_per_txn;
   fl "mean_alloc_size" m.mean_alloc_size;
+  Buffer.add_char b '\n';
   Buffer.contents b
 
-exception Parse of string
-
 let measurement_of_string s =
-  try
-    let tbl = Hashtbl.create 64 in
-    List.iter
-      (fun ln ->
-        if String.trim ln <> "" then
-          match String.index_opt ln ' ' with
-          | None -> raise (Parse ("malformed line: " ^ ln))
-          | Some i ->
-            let k = String.sub ln 0 i in
-            let v = String.sub ln (i + 1) (String.length ln - i - 1) in
-            if Hashtbl.mem tbl k then raise (Parse ("duplicate key " ^ k));
-            Hashtbl.add tbl k v)
-      (String.split_on_char '\n' s);
-    let get k =
-      match Hashtbl.find_opt tbl k with
-      | Some v -> v
-      | None -> raise (Parse ("missing key " ^ k))
-    in
-    let geti k =
-      match int_of_string_opt (get k) with
-      | Some v -> v
-      | None -> raise (Parse ("bad int for " ^ k))
-    in
-    let getf k =
-      match float_of_string_opt (get k) with
-      | Some v -> v
-      | None -> raise (Parse ("bad float for " ^ k))
-    in
-    let getb k =
-      match bool_of_string_opt (get k) with
-      | Some v -> v
-      | None -> raise (Parse ("bad bool for " ^ k))
-    in
-    let opt_int k =
-      match get k with
-      | "none" -> None
-      | v -> (
-        match int_of_string_opt v with
-        | Some v -> Some v
-        | None -> raise (Parse ("bad optional int for " ^ k)))
-    in
-    if geti "mmstudy.measurement" <> measurement_schema_version then
-      raise (Parse "schema version mismatch");
-    let machine =
-      match get "machine" with
-      | "xeon" -> Machine.xeon
-      | "niagara" -> Machine.niagara
-      | m -> raise (Parse ("unknown machine " ^ m))
-    in
-    let kind =
-      match get "kind" with
-      | "ddmalloc" -> (
-        match get "kind.dd" with
-        | "default" -> Alloc_factory.Dd None
-        | "custom" ->
-          let sizes =
-            List.map
-              (fun x ->
-                match int_of_string_opt x with
-                | Some v -> v
-                | None -> raise (Parse "bad scheme size"))
-              (String.split_on_char ' ' (get "kind.dd.scheme.sizes"))
-          in
-          let scheme =
-            Core.Size_class.of_sizes
-              ~name:(get "kind.dd.scheme.name")
-              (Array.of_list sizes)
-          in
-          let reuse =
-            match get "kind.dd.reuse" with
-            | "lifo" -> Core.Ddmalloc.Lifo
-            | "fifo" -> Core.Ddmalloc.Fifo
-            | "addr" -> Core.Ddmalloc.Addr_ordered
-            | r -> raise (Parse ("unknown reuse policy " ^ r))
-          in
-          Alloc_factory.Dd
-            (Some
-               {
-                 Core.Ddmalloc.segment_size = geti "kind.dd.segment_size";
-                 arena_size = geti "kind.dd.arena_size";
-                 scheme;
-                 pid_metadata_offset = getb "kind.dd.pid_metadata_offset";
-                 large_pages = getb "kind.dd.large_pages";
-                 reuse;
-               })
-        | v -> raise (Parse ("bad kind.dd " ^ v)))
-      | name -> (
-        match Alloc_factory.of_name name with
-        | Some (Alloc_factory.Dd _) | None ->
-          raise (Parse ("unknown kind " ^ name))
-        | Some k -> k)
-    in
-    let spec =
-      match Spec.by_name (get "spec") with
-      | Some s -> s
-      | None -> raise (Parse ("unknown spec " ^ get "spec"))
-    in
-    let events = Events.create () in
-    List.iter
-      (fun (name, ctx) ->
-        let vals =
-          List.map
-            (fun x ->
-              match int_of_string_opt x with
-              | Some v -> v
-              | None -> raise (Parse ("bad counter in events." ^ name)))
-            (String.split_on_char ' ' (get ("events." ^ name)))
-        in
-        if List.length vals <> Events.ncounters then
-          raise (Parse ("wrong counter count in events." ^ name));
-        List.iter2 (fun c v -> Events.add events ctx c v) Events.all_counters
-          vals)
-      event_contexts;
-    let perf =
-      {
-        Perf_model.cycles_per_txn = getf "perf.cycles_per_txn";
-        throughput = getf "perf.throughput";
-        breakdown =
-          {
-            Perf_model.mgmt_cycles = getf "perf.mgmt_cycles";
-            app_cycles = getf "perf.app_cycles";
-            kernel_cycles = getf "perf.kernel_cycles";
-          };
-        bus_utilization = getf "perf.bus_utilization";
-        mem_latency_eff = getf "perf.mem_latency_eff";
-      }
-    in
-    let consumption =
-      Mm_stats.Summary.undump
-        ( geti "consumption.n",
-          getf "consumption.mean",
-          getf "consumption.m2",
-          getf "consumption.min",
-          getf "consumption.max" )
-    in
-    let cfg =
-      {
-        machine;
-        active_cores = geti "cores";
-        kind;
-        spec;
-        scale = getf "scale";
-        warmup_txns = geti "warmup_txns";
-        measure_txns = geti "measure_txns";
-        large_page_heap = getb "large_page_heap";
-        seed = geti "seed";
-        restart_period = opt_int "restart_period";
-        use_bulk_free = getb "use_bulk_free";
-        processes = opt_int "processes";
-      }
-    in
-    Ok
+  Record.decode ~item:'\n' ~kv:' ' s (fun r ->
+      let open Record in
+      let bad what v = raise (Malformed (what ^ " " ^ v)) in
+      if int r "mmstudy.measurement" <> measurement_schema_version then
+        bad "schema version mismatch:" (string r "mmstudy.measurement");
+      let machine =
+        match Machine.of_name (string r "machine") with
+        | Some m -> m
+        | None -> bad "unknown machine" (string r "machine")
+      in
+      let kind =
+        match string r "kind" with
+        | "ddmalloc" -> (
+          match string r "kind.dd" with
+          | "default" -> Alloc_factory.Dd None
+          | "custom" ->
+            let scheme =
+              Core.Size_class.of_sizes
+                ~name:(string r "kind.dd.scheme.name")
+                (Array.of_list (ints r "kind.dd.scheme.sizes"))
+            in
+            let reuse =
+              match Core.Ddmalloc.reuse_of_name (string r "kind.dd.reuse") with
+              | Some p -> p
+              | None -> bad "unknown reuse policy" (string r "kind.dd.reuse")
+            in
+            Alloc_factory.Dd
+              (Some
+                 {
+                   Core.Ddmalloc.segment_size = int r "kind.dd.segment_size";
+                   arena_size = int r "kind.dd.arena_size";
+                   scheme;
+                   pid_metadata_offset = bool r "kind.dd.pid_metadata_offset";
+                   large_pages = bool r "kind.dd.large_pages";
+                   reuse;
+                 })
+          | v -> bad "bad kind.dd" v)
+        | name -> (
+          match Alloc_factory.of_name name with
+          | Some (Alloc_factory.Dd _) | None -> bad "unknown kind" name
+          | Some k -> k)
+      in
+      let spec =
+        match Spec.by_name (string r "spec") with
+        | Some s -> s
+        | None -> bad "unknown spec" (string r "spec")
+      in
+      let events = Events.create () in
+      List.iter
+        (fun (name, ctx) ->
+          let vals = ints r ("events." ^ name) in
+          if List.length vals <> Events.ncounters then
+            bad "wrong counter count in" ("events." ^ name);
+          List.iter2 (fun c v -> Events.add events ctx c v) Events.all_counters
+            vals)
+        event_contexts;
+      let perf =
+        {
+          Perf_model.cycles_per_txn = float r "perf.cycles_per_txn";
+          throughput = float r "perf.throughput";
+          breakdown =
+            {
+              Perf_model.mgmt_cycles = float r "perf.mgmt_cycles";
+              app_cycles = float r "perf.app_cycles";
+              kernel_cycles = float r "perf.kernel_cycles";
+            };
+          bus_utilization = float r "perf.bus_utilization";
+          mem_latency_eff = float r "perf.mem_latency_eff";
+        }
+      in
+      let consumption =
+        Mm_stats.Summary.undump
+          ( int r "consumption.n",
+            float r "consumption.mean",
+            float r "consumption.m2",
+            float r "consumption.min",
+            float r "consumption.max" )
+      in
+      let cfg =
+        {
+          machine;
+          active_cores = int r "cores";
+          kind;
+          spec;
+          scale = float r "scale";
+          warmup_txns = int r "warmup_txns";
+          measure_txns = int r "measure_txns";
+          large_page_heap = bool r "large_page_heap";
+          seed = int r "seed";
+          restart_period = opt_int r "restart_period";
+          use_bulk_free = bool r "use_bulk_free";
+          processes = opt_int r "processes";
+        }
+      in
       {
         cfg;
         events;
-        txns = geti "txns";
+        txns = int r "txns";
         perf;
-        throughput = getf "throughput";
+        throughput = float r "throughput";
         consumption;
-        mallocs_per_txn = getf "mallocs_per_txn";
-        frees_per_txn = getf "frees_per_txn";
-        reallocs_per_txn = getf "reallocs_per_txn";
-        mean_alloc_size = getf "mean_alloc_size";
-      }
-  with
-  | Parse msg -> Error msg
-  | e -> Error (Printexc.to_string e)
+        mallocs_per_txn = float r "mallocs_per_txn";
+        frees_per_txn = float r "frees_per_txn";
+        reallocs_per_txn = float r "reallocs_per_txn";
+        mean_alloc_size = float r "mean_alloc_size";
+      })

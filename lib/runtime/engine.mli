@@ -112,10 +112,10 @@ val event_per_txn : measurement -> Mm_cachesim.Events.counter -> float
 (** {2 Measurement serialization}
 
     The payload format of the persistent measurement store: a versioned,
-    human-diffable "key value" line format.  Floats are written with [%h]
-    (hex mantissa) so every finite value round-trips bit-exactly — a warm
-    store hit renders byte-identically to the simulation that produced
-    it.  Machine and workload are stored by name; the allocator
+    human-diffable {!Mm_stats.Record} of "key value" lines.  Floats are
+    written with [%h] (hex mantissa) so every finite value round-trips
+    bit-exactly — a warm store hit renders byte-identically to the
+    simulation that produced it.  Machine and workload are stored by name; the allocator
     configuration is stored in full (the ablations sweep DDmalloc's
     parameters, including the size-class scheme). *)
 

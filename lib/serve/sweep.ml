@@ -79,85 +79,65 @@ let collapse_rate points =
 
 let header = Printf.sprintf "mmstudy.serve %d" schema_version
 
-let point_to_line p =
-  Printf.sprintf
-    "point rate=%h p50=%h p90=%h p99=%h p999=%h max=%h rps=%h good=%h \
-     util=%h measured=%d saturated=%b shed=%h timeout=%h amp=%h failed=%d"
-    p.rate p.p50 p.p90 p.p99 p.p999 p.lat_max p.achieved_rps p.goodput_rps
-    p.utilization p.measured p.saturated p.shed_rate p.timeout_rate
-    p.amplification p.failed
+(* A point is one line: "point" and an {!Mm_stats.Record} of key=value
+   tokens. *)
+let point_tag = "point "
+
+let add_point b p =
+  let open Mm_stats.Record in
+  Buffer.add_string b point_tag;
+  let w = writer ~item:' ' ~kv:'=' b in
+  add_float w "rate" p.rate;
+  add_float w "p50" p.p50;
+  add_float w "p90" p.p90;
+  add_float w "p99" p.p99;
+  add_float w "p999" p.p999;
+  add_float w "max" p.lat_max;
+  add_float w "rps" p.achieved_rps;
+  add_float w "good" p.goodput_rps;
+  add_float w "util" p.utilization;
+  add_int w "measured" p.measured;
+  add_bool w "saturated" p.saturated;
+  add_float w "shed" p.shed_rate;
+  add_float w "timeout" p.timeout_rate;
+  add_float w "amp" p.amplification;
+  add_int w "failed" p.failed;
+  Buffer.add_char b '\n'
 
 let points_to_string points =
   let b = Buffer.create 256 in
   Buffer.add_string b header;
   Buffer.add_char b '\n';
   Printf.bprintf b "points %d\n" (List.length points);
-  List.iter
-    (fun p ->
-      Buffer.add_string b (point_to_line p);
-      Buffer.add_char b '\n')
-    points;
+  List.iter (add_point b) points;
   Buffer.contents b
 
-let field fields name of_string =
-  match List.assoc_opt name fields with
-  | None -> Error (Printf.sprintf "missing field %s" name)
-  | Some v -> (
-    match of_string v with
-    | Some x -> Ok x
-    | None -> Error (Printf.sprintf "bad value for %s: %s" name v))
-
-let ( let* ) r f = Result.bind r f
-
 let point_of_line line =
-  match String.split_on_char ' ' line with
-  | "point" :: rest ->
-    let fields =
-      List.filter_map
-        (fun part ->
-          match String.index_opt part '=' with
-          | None -> None
-          | Some i ->
-            Some
-              ( String.sub part 0 i,
-                String.sub part (i + 1) (String.length part - i - 1) ))
-        rest
-    in
-    let f name = field fields name float_of_string_opt in
-    let* rate = f "rate" in
-    let* p50 = f "p50" in
-    let* p90 = f "p90" in
-    let* p99 = f "p99" in
-    let* p999 = f "p999" in
-    let* lat_max = f "max" in
-    let* achieved_rps = f "rps" in
-    let* goodput_rps = f "good" in
-    let* utilization = f "util" in
-    let* measured = field fields "measured" int_of_string_opt in
-    let* saturated = field fields "saturated" bool_of_string_opt in
-    let* shed_rate = f "shed" in
-    let* timeout_rate = f "timeout" in
-    let* amplification = f "amp" in
-    let* failed = field fields "failed" int_of_string_opt in
-    Ok
-      {
-        rate;
-        p50;
-        p90;
-        p99;
-        p999;
-        lat_max;
-        achieved_rps;
-        goodput_rps;
-        utilization;
-        measured;
-        saturated;
-        shed_rate;
-        timeout_rate;
-        amplification;
-        failed;
-      }
-  | _ -> Error (Printf.sprintf "expected a point line, got %S" line)
+  let n = String.length point_tag in
+  if not (String.starts_with ~prefix:point_tag line) then
+    Error (Printf.sprintf "expected a point line, got %S" line)
+  else
+    Mm_stats.Record.decode ~item:' ' ~kv:'='
+      (String.sub line n (String.length line - n))
+      (fun r ->
+        let open Mm_stats.Record in
+        {
+          rate = float r "rate";
+          p50 = float r "p50";
+          p90 = float r "p90";
+          p99 = float r "p99";
+          p999 = float r "p999";
+          lat_max = float r "max";
+          achieved_rps = float r "rps";
+          goodput_rps = float r "good";
+          utilization = float r "util";
+          measured = int r "measured";
+          saturated = bool r "saturated";
+          shed_rate = float r "shed";
+          timeout_rate = float r "timeout";
+          amplification = float r "amp";
+          failed = int r "failed";
+        })
 
 let points_of_string s =
   match String.split_on_char '\n' s with
@@ -169,13 +149,14 @@ let points_of_string s =
       | [ "points"; n ] -> (
         match int_of_string_opt n with
         | Some n when n = List.length point_lines ->
-          List.fold_left
-            (fun acc line ->
-              let* acc = acc in
-              let* p = point_of_line line in
-              Ok (p :: acc))
-            (Ok []) point_lines
-          |> Result.map List.rev
+          let rec decode acc = function
+            | [] -> Ok (List.rev acc)
+            | line :: lines -> (
+              match point_of_line line with
+              | Ok p -> decode (p :: acc) lines
+              | Error _ as e -> e)
+          in
+          decode [] point_lines
         | Some _ | None -> Error "point count mismatch")
       | _ -> Error "missing points count")
     | [] -> Error "truncated sweep payload")

@@ -6,12 +6,13 @@
     saturation verdict and resilience metrics the experiment tables and
     the CLI print.
 
-    Points serialize to a versioned line format with [%h] hex floats,
-    mirroring the measurement codec: a decoded sweep is bit-identical to
-    the one encoded, so store-served sweeps render byte-identically to
-    fresh simulations.  {!of_string} never raises — malformed, truncated
-    or wrong-version payloads are an [Error], which store readers treat
-    as a miss. *)
+    Points serialize to a versioned line format, one {!Mm_stats.Record}
+    line of [key=value] tokens per point, through the same codec as the
+    measurements: a decoded sweep is bit-identical to the one encoded, so
+    store-served sweeps render byte-identically to fresh simulations.
+    {!points_of_string} never raises — malformed, truncated or
+    wrong-version payloads are an [Error], which store readers treat as
+    a miss. *)
 
 type point = {
   rate : float;  (** offered load, requests/second *)

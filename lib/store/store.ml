@@ -188,7 +188,6 @@ let find t ~key =
   attempt 0
 
 let store t ?(kind = default_kind) ~key ~data () =
-  mkdir_p t.dir;
   let image =
     Printf.sprintf "mmstudy-store %d\nfingerprint %s\nkey %s\nkind %s\nmd5 %s\nbytes %d\n%s"
       store_schema_version t.fingerprint key kind
@@ -196,6 +195,9 @@ let store t ?(kind = default_kind) ~key ~data () =
       (String.length data) data
   in
   let write_once () =
+    (* Inside the retried write, so a directory that cannot be created
+       counts as a failed write like any other. *)
+    mkdir_p t.dir;
     if Fault.fire Fault.Store_write then
       raise (Fault.Injected Fault.Store_write);
     (* A torn write publishes a truncated image — the acknowledged-but-

@@ -1,10 +1,14 @@
 (* The docs quote repository paths; every one must exist.  A quoted
-   [.exe] names a dune executable, which exists when its [.ml] does. *)
+   path is one under a source directory, or a root-level file with a
+   .txt, .json, .jsonl, .md or .sh extension.  A quoted [.exe] names a
+   dune executable, which exists when its [.ml] does. *)
 
-let docs = [ "README.md"; "DESIGN.md" ]
+let docs = [ "README.md"; "DESIGN.md"; "EXPERIMENTS.md" ]
 
 let path_re =
-  Str.regexp "`\\(\\(lib\\|bin\\|test\\|bench\\|perfbench\\|examples\\)/[A-Za-z0-9_./-]*\\)`"
+  Str.regexp
+    ("`\\(\\(lib\\|bin\\|test\\|perfbench\\|examples\\)/[A-Za-z0-9_./-]*"
+   ^ "\\|[A-Za-z0-9_.-]+\\.\\(txt\\|jsonl\\|json\\|md\\|sh\\)\\)`")
 
 let quoted_paths text =
   let rec go pos acc =

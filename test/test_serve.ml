@@ -264,6 +264,37 @@ let prop_sweep_codec_roundtrip =
       | Error e -> QCheck.Test.fail_reportf "decode failed: %s" e)
 
 let test_sweep_codec_rejects_garbage () =
+  let good =
+    Sweep.points_to_string
+      [
+        {
+          Sweep.rate = 1.0;
+          p50 = 1.0;
+          p90 = 1.0;
+          p99 = 1.0;
+          p999 = 1.0;
+          lat_max = 1.0;
+          achieved_rps = 1.0;
+          goodput_rps = 1.0;
+          utilization = 0.5;
+          measured = 10;
+          saturated = false;
+          shed_rate = 0.0;
+          timeout_rate = 0.0;
+          amplification = 1.0;
+          failed = 0;
+        };
+      ]
+  in
+  (match Sweep.points_of_string good with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "rejected a good payload: %s" e);
+  let edit_point extra =
+    Str.replace_first
+      (Str.regexp_string "failed=0\n")
+      ("failed=0 " ^ extra ^ "\n")
+      good
+  in
   List.iter
     (fun s ->
       match Sweep.points_of_string s with
@@ -275,29 +306,10 @@ let test_sweep_codec_rejects_garbage () =
       "mmstudy.serve 1\npoints 2\npoint rate=0x1p0";
       "mmstudy.serve 1\npoints x";
       "not a sweep at all";
-      (let good =
-         Sweep.points_to_string
-           [
-             {
-               Sweep.rate = 1.0;
-               p50 = 1.0;
-               p90 = 1.0;
-               p99 = 1.0;
-               p999 = 1.0;
-               lat_max = 1.0;
-               achieved_rps = 1.0;
-               goodput_rps = 1.0;
-               utilization = 0.5;
-               measured = 10;
-               saturated = false;
-               shed_rate = 0.0;
-               timeout_rate = 0.0;
-               amplification = 1.0;
-               failed = 0;
-             };
-           ]
-       in
-       String.sub good 0 (String.length good - 4));
+      String.sub good 0 (String.length good - 4);
+      (* a token without '=', and a field given twice *)
+      edit_point "junk";
+      edit_point "rate=0x1p1";
     ]
 
 let test_sweep_max_sustainable () =

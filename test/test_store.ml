@@ -340,6 +340,28 @@ let test_store_survives_injection () =
       Alcotest.(check bool) "retries were recorded" true
         (h.Store.read_retries + h.Store.write_retries > 0))
 
+(* A store directory that cannot be created (its parent is a regular
+   file) is a failed write like any other: it is counted, so the context
+   degrades instead of retrying the store for the rest of the run. *)
+let test_uncreatable_dir_counts_as_failed_write () =
+  let file = Filename.temp_file "mmstudy-test-store" ".file" in
+  let dir = Filename.concat file "cache" in
+  let s = Store.open_ ~dir ~fingerprint:fp () in
+  (match Store.store s ~key:"k" ~data:"v" () with
+  | () -> Alcotest.fail "store under a regular file succeeded"
+  | exception (Sys_error _ | Unix.Unix_error _ | Fault.Injected _) -> ());
+  Alcotest.(check int) "write failure counted" 1
+    (Store.health s).Store.write_failures;
+  let ctx = mk_ctx ~store:(Store.open_ ~dir ~fingerprint:fp ()) () in
+  for i = 1 to 8 do
+    Alcotest.(check bool) "sweep correct" true
+      (Ctx.force_sweep ctx ~key:(string_of_int i) ~compute:(fun () ->
+           sweep_of i)
+      = sweep_of i)
+  done;
+  Alcotest.(check bool) "degraded after 8 failed writes" true
+    (Ctx.store_degraded ctx)
+
 let test_context_degrades_when_store_unavailable () =
   (* A store that always fails: the context absorbs a bounded number of
      errors, then stops touching the store and runs in-memory. *)
@@ -789,6 +811,8 @@ let () =
           Alcotest.test_case "blob layer" `Quick test_blob_layer;
           Alcotest.test_case "degrades when store unavailable" `Quick
             test_context_degrades_when_store_unavailable;
+          Alcotest.test_case "uncreatable store dir counts as failed write"
+            `Quick test_uncreatable_dir_counts_as_failed_write;
           Alcotest.test_case "faults change no measurement byte" `Quick
             test_faults_change_no_measurement_byte;
           Alcotest.test_case "fingerprint shape" `Quick
