@@ -3,7 +3,8 @@
 # plan/execute/render pipeline must print byte-identical output whether
 # the execute stage runs on 1 domain or 4 — a cold/warm store equivalence
 # gate, a serving-simulator gate (deterministic across -j, warm rerun
-# fully store-served), and a fault-injection gate (injected faults must
+# fully store-served; once plain, once under a timeout/retry/admission
+# policy), and a fault-injection gate (injected faults must
 # not change a single output byte, and the store suite must pass with the
 # injector armed).
 set -eu
@@ -89,6 +90,32 @@ if ! grep -q 'SATURATED' "$sj4"; then
 fi
 echo "serve deterministic across -j; warm rerun 0 simulations, 0 serve sims."
 
+echo "== serve smoke under a client policy: timeouts, retries, admission =="
+# The same gates with a 50 ms deadline, 3 retries and deadline-aware
+# admission, so the timeout FIFO, the retry heap and the shed path all
+# run: deterministic across -j, fully store-served when warm, and the
+# retry storm must actually collapse goodput somewhere on the grid.
+retrydir=$(mktemp -d)
+rj1=$(mktemp) && rj4=$(mktemp) && rwarmerr=$(mktemp)
+trap 'rm -f "$out1" "$out4" "$cold" "$warm" "$warmerr" "$sj1" "$sj4" "$swarmerr" "$rj1" "$rj4" "$rwarmerr"; rm -rf "$cachedir" "$servedir" "$retrydir"' EXIT
+RETRY_ARGS="$SERVE_ARGS --timeout 0.05 --retries 3 --admission deadline-aware"
+MMSTUDY_CACHE_DIR="$retrydir" $TO $MMSTUDY $RETRY_ARGS -j 1 > "$rj1" 2>/dev/null
+MMSTUDY_CACHE_DIR="$retrydir" $TO $MMSTUDY $RETRY_ARGS -j 4 > "$rj4" 2> "$rwarmerr"
+if ! diff -u "$rj1" "$rj4"; then
+  echo "FAIL: serve output under a client policy differs between -j 1 and -j 4" >&2
+  exit 1
+fi
+if ! grep -q 'simulations: 0,' "$rwarmerr" || ! grep -q 'serve sims: 0,' "$rwarmerr"; then
+  echo "FAIL: warm serve run under a client policy recomputed instead of reading the store:" >&2
+  cat "$rwarmerr" >&2
+  exit 1
+fi
+if ! grep -q 'COLLAPSED' "$rj4"; then
+  echo "FAIL: serve sweep under a client policy never collapsed (retries should amplify past capacity)" >&2
+  exit 1
+fi
+echo "policy serve deterministic across -j; warm rerun 0 simulations, 0 serve sims."
+
 echo "== fault smoke: injected faults must not change a single output byte =="
 # The determinism-under-faults invariant: MM_FAULT_SEED arms store I/O
 # errors and torn writes throughout the pipeline, yet the
@@ -96,7 +123,7 @@ echo "== fault smoke: injected faults must not change a single output byte =="
 # exactly — faults may only move counters and logs.
 faultdir=$(mktemp -d)
 faultout=$(mktemp) && faulterr=$(mktemp)
-trap 'rm -f "$out1" "$out4" "$cold" "$warm" "$warmerr" "$sj1" "$sj4" "$swarmerr" "$faultout" "$faulterr"; rm -rf "$cachedir" "$servedir" "$faultdir"' EXIT
+trap 'rm -f "$out1" "$out4" "$cold" "$warm" "$warmerr" "$sj1" "$sj4" "$swarmerr" "$rj1" "$rj4" "$rwarmerr" "$faultout" "$faulterr"; rm -rf "$cachedir" "$servedir" "$retrydir" "$faultdir"' EXIT
 MM_FAULT_SEED=42 MMSTUDY_CACHE_DIR="$faultdir" \
   $TO $MMSTUDY run all --scale 0.05 -j 4 > "$faultout" 2> "$faulterr"
 if ! diff -u "$out4" "$faultout"; then

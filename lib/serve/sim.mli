@@ -23,7 +23,24 @@
     including work finished after its client timed out) from {e goodput}
     (completions that made their deadline).  [?policy] defaults to
     {!Policy.none}, which reproduces the happy-path simulator exactly —
-    same streams, same event order, same numbers. *)
+    same streams, same event order, same numbers.
+
+    {b Event order.}  Besides departures (a scan of the at most [cores]
+    busy servers, ties to the lowest core), events come from three
+    sources, and the loop takes the least by (time, push sequence):
+    - a cursor over the pre-drawn arrivals, already sorted; original [i]
+      has sequence [i], below every later push;
+    - a FIFO of timeouts: each is pushed [deadline] after the arrival
+      being handled, the clock never goes back and the deadline is
+      fixed, so the FIFO is sorted by (time, sequence) as it stands;
+    - a binary heap of retries, whose backoff and jitter vary.
+    Later pushes take the next sequence number of one running counter,
+    so merging the three sources gives exactly the order of a single
+    heap holding every arrival, timeout and retry, and a departure still
+    wins any tie.  Attempts are int ids into flat columns, run queues
+    are int rings, and the float accumulators live in a float array, so
+    the loop allocates nothing per event beyond the histogram sample and
+    the retry jitter draw. *)
 
 type config = {
   cores : int;
@@ -74,3 +91,21 @@ val run : ?policy:Policy.t -> config -> service:float array -> outcome
     Raises [Invalid_argument] on a non-positive rate or request count,
     [warmup_frac] outside [0, 1), a short/empty/non-positive [service]
     table, or an invalid [policy] (see {!Policy.validate}). *)
+
+val replay :
+  ?policy:Policy.t ->
+  config ->
+  service:float array ->
+  arrivals:float array ->
+  mult:float array ->
+  flow:int array ->
+  outcome
+(** {!run} with the pre-drawn streams given instead of drawn from
+    [config.seed]: absolute arrival times (so [config.rate] is not
+    applied), per-request service multipliers and flow ids; retry jitter
+    is still drawn from [config.seed].  [run] is [replay] of the streams
+    it draws.  Tests use it to place events on exact ties.  Raises
+    [Invalid_argument] as {!run} does, and when an array's length is not
+    [config.requests], an arrival time is negative, non-finite or
+    earlier than its predecessor, a multiplier is not positive and
+    finite, or a flow id is negative. *)

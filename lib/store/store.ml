@@ -157,11 +157,14 @@ let find t ~key =
   let path = entry_path t ~key in
   let read_once () =
     if Fault.fire Fault.Store_read then raise (Fault.Injected Fault.Store_read);
-    match open_in_bin path with
-    | exception Sys_error _ ->
-      (* Entry absent: a plain miss, not a fault — no retry. *)
+    match Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
+    | exception Unix.Unix_error (Unix.ENOENT, _, _) ->
+      (* Entry absent: a plain miss, not a fault — no retry.  Any other
+         error (EACCES, ENOTDIR, EIO, ...) is a failed read and goes
+         through the retry loop below. *)
       None
-    | ic ->
+    | fd ->
+      let ic = Unix.in_channel_of_descr fd in
       let result = try Some (read_entry ic t ~key) with Invalid | End_of_file -> None in
       close_in_noerr ic;
       if result <> None then

@@ -1,5 +1,5 @@
 (* Golden payloads: the MD5 of [Engine.measurement_to_string] for a small
-   fixed grid and of [Sweep.points_to_string] for two short sweeps,
+   fixed grid and of [Sweep.points_to_string] for five short sweeps,
    recorded from a known-good tree.  The -j and cold/warm checks compare
    the program with itself; these pins catch a change that is wrong in the
    same way everywhere, in the simulation or in either store codec.  A
@@ -34,38 +34,66 @@ let digest cfg = md5 (Engine.measurement_to_string (measure cfg))
 let name (machine, kind) =
   Printf.sprintf "%s/%s" machine.Machine.name (Factory.kind_name kind)
 
-(* Two short Xeon sweeps over fractions of the configuration's own
-   capacity: default under no policy, region under a deadline with
-   retries, so the pins cover the resilience fields too. *)
+(* Short sweeps over fractions of the configuration's own capacity (8
+   cores, 1,000 requests at 0.5/0.9/1.2x).  Between them they reach both
+   machines, both arrival processes, all three dispatch policies and all
+   three admission modes, with and without a deadline, retries and
+   jitter, so the pins cover every event source of the simulator and the
+   resilience fields too. *)
+type sweep_pin = {
+  label : string;
+  sw_machine : Machine.t;
+  sw_kind : Factory.kind;
+  sw_arrival : Mm_serve.Arrival.kind;
+  sw_dispatch : Mm_serve.Dispatch.policy;
+  sw_policy : Policy.t;
+}
+
 let sweeps =
+  let pin label sw_machine sw_kind sw_arrival sw_dispatch sw_policy =
+    { label; sw_machine; sw_kind; sw_arrival; sw_dispatch; sw_policy }
+  in
+  let open Mm_serve in
   [
-    ("xeon/php-default/none", Factory.Php_default, Policy.none);
-    ( "xeon/region/retry",
-      Factory.Region,
-      Policy.make ~deadline:0.05 ~max_retries:2 () );
+    pin "xeon/php-default/none" Machine.xeon Factory.Php_default
+      Arrival.Poisson Dispatch.Least_loaded Policy.none;
+    pin "xeon/region/retry" Machine.xeon Factory.Region Arrival.Poisson
+      Dispatch.Least_loaded
+      (Policy.make ~deadline:0.05 ~max_retries:2 ());
+    pin "xeon/php-default/bursty-rr-queue4" Machine.xeon Factory.Php_default
+      Arrival.Bursty Dispatch.Round_robin
+      (Policy.make ~deadline:0.05 ~max_retries:2
+         ~admission:(Policy.Queue_limit 4) ());
+    pin "xeon/ddmalloc/affinity-deadline-aware" Machine.xeon (Factory.Dd None)
+      Arrival.Poisson Dispatch.Affinity
+      (Policy.make ~deadline:0.05 ~max_retries:3 ~jitter:0.0
+         ~admission:Policy.Deadline_aware ());
+    pin "niagara/region/retry" Machine.niagara Factory.Region Arrival.Poisson
+      Dispatch.Least_loaded
+      (Policy.make ~deadline:0.05 ~max_retries:2 ());
   ]
 
-let sweep_digest kind policy =
-  let machine = Machine.xeon in
+let sweep_points sw =
   let service =
-    Contention.service_seconds ~machine ~measurement:(measure (machine, kind))
+    Contention.service_seconds ~machine:sw.sw_machine
+      ~measurement:(measure (sw.sw_machine, sw.sw_kind))
   in
   let cap = Contention.capacity ~cores:8 service in
   let cfg =
     {
       Mm_serve.Sim.cores = 8;
-      arrival = Mm_serve.Arrival.Poisson;
-      dispatch = Mm_serve.Dispatch.Least_loaded;
+      arrival = sw.sw_arrival;
+      dispatch = sw.sw_dispatch;
       rate = 1.0;
       requests = 1000;
       warmup_frac = 0.1;
       seed = 42;
     }
   in
-  md5
-    (Sweep.points_to_string
-       (Sweep.run ~policy cfg ~service
-          ~rates:(List.map (fun f -> f *. cap) [ 0.5; 0.9; 1.2 ])))
+  Sweep.run ~policy:sw.sw_policy cfg ~service
+    ~rates:(List.map (fun f -> f *. cap) [ 0.5; 0.9; 1.2 ])
+
+let sweep_digest sw = md5 (Sweep.points_to_string (sweep_points sw))
 
 let expected =
   [
@@ -81,6 +109,9 @@ let expected_sweeps =
   [
     ("xeon/php-default/none", "61a2ffc1199037becdbcc0c87492b793");
     ("xeon/region/retry", "66ddcec914046b5dfdd0b9f0d281ca27");
+    ("xeon/php-default/bursty-rr-queue4", "959054b058bc630d16db6e216577bda6");
+    ("xeon/ddmalloc/affinity-deadline-aware", "7c35552fe43f154a0664b6ba8adca144");
+    ("niagara/region/retry", "052b26acc377308e703ed90d1ac2878a");
   ]
 
 let check_pin table label actual () =
@@ -92,8 +123,7 @@ let () =
   if Array.length Sys.argv > 1 && Sys.argv.(1) = "--print" then begin
     List.iter (fun cfg -> Printf.printf "    (%S, %S);\n" (name cfg) (digest cfg)) configs;
     List.iter
-      (fun (label, kind, policy) ->
-        Printf.printf "    (%S, %S);\n" label (sweep_digest kind policy))
+      (fun sw -> Printf.printf "    (%S, %S);\n" sw.label (sweep_digest sw))
       sweeps
   end
   else
@@ -107,9 +137,9 @@ let () =
             configs );
         ( "sweep",
           List.map
-            (fun (label, kind, policy) ->
-              Alcotest.test_case label `Quick
-                (check_pin expected_sweeps label (fun () ->
-                     sweep_digest kind policy)))
+            (fun sw ->
+              Alcotest.test_case sw.label `Quick
+                (check_pin expected_sweeps sw.label (fun () ->
+                     sweep_digest sw)))
             sweeps );
       ]

@@ -1,5 +1,5 @@
 (* Tests for lib/serve: arrival processes, dispatch policies, the
-   discrete-event loop, the sweep codec, and the end-to-end claim the
+   discrete-event loop and its reference model, the sweep codec, and the end-to-end claim the
    subsystem exists for — the region allocator hits the latency cliff at
    lower offered load than default on 8 Xeon cores. *)
 
@@ -8,6 +8,7 @@ module Arrival = Mm_serve.Arrival
 module Dispatch = Mm_serve.Dispatch
 module Contention = Mm_serve.Contention
 module Sim = Mm_serve.Sim
+module Policy = Mm_serve.Policy
 module Sweep = Mm_serve.Sweep
 module Ctx = Mm_experiments.Context
 module Lat = Mm_experiments.Exp_latency
@@ -216,6 +217,289 @@ let test_sim_contention_hurts () =
   Alcotest.(check bool) "contention raises p99" true
     (run inflating rate > run flat rate)
 
+(* --- Sim against its reference model --- *)
+
+(* [Sim_oracle] is the event core Sim.run had before its rewrite: one
+   binary heap for every arrival, timeout and retry.  The fast core must
+   reproduce it exactly — every outcome field, floats to the bit, and the
+   latency histogram's count, extremes and quantiles. *)
+
+module Histogram = Mm_stats.Histogram
+
+let outcome_mismatches (a : Sim.outcome) (b : Sim.outcome) =
+  let bits = Int64.bits_of_float in
+  let fl name x y = if bits x = bits y then [] else [ name ] in
+  let int name x y = if x = y then [] else [ name ] in
+  let hist name f = fl name (f a.Sim.hist) (f b.Sim.hist) in
+  List.concat
+    [
+      (if a.Sim.o_config = b.Sim.o_config then [] else [ "o_config" ]);
+      (if a.Sim.o_policy = b.Sim.o_policy then [] else [ "o_policy" ]);
+      int "hist count" (Histogram.count a.Sim.hist) (Histogram.count b.Sim.hist);
+      hist "hist min" Histogram.min_recorded;
+      hist "hist max" Histogram.max_recorded;
+      hist "p50" (fun h -> Histogram.quantile h 0.5);
+      hist "p90" (fun h -> Histogram.quantile h 0.9);
+      hist "p99" (fun h -> Histogram.quantile h 0.99);
+      hist "p999" (fun h -> Histogram.quantile h 0.999);
+      int "measured" a.Sim.measured b.Sim.measured;
+      fl "achieved_rps" a.Sim.achieved_rps b.Sim.achieved_rps;
+      fl "utilization" a.Sim.utilization b.Sim.utilization;
+      (if a.Sim.saturated = b.Sim.saturated then [] else [ "saturated" ]);
+      int "max_outstanding" a.Sim.max_outstanding b.Sim.max_outstanding;
+      int "attempts" a.Sim.attempts b.Sim.attempts;
+      int "completions" a.Sim.completions b.Sim.completions;
+      int "ok" a.Sim.ok b.Sim.ok;
+      int "timeouts" a.Sim.timeouts b.Sim.timeouts;
+      int "sheds" a.Sim.sheds b.Sim.sheds;
+      int "give_ups" a.Sim.give_ups b.Sim.give_ups;
+      fl "goodput_rps" a.Sim.goodput_rps b.Sim.goodput_rps;
+      fl "retry_amplification" a.Sim.retry_amplification
+        b.Sim.retry_amplification;
+    ]
+
+let agrees fast slow =
+  match outcome_mismatches fast slow with
+  | [] -> true
+  | fields ->
+    QCheck.Test.fail_reportf "fast core differs from the reference in: %s"
+      (String.concat ", " fields)
+
+let check_agrees label fast slow =
+  match outcome_mismatches fast slow with
+  | [] -> ()
+  | fields ->
+    Alcotest.failf "%s: fast core differs from the reference in: %s" label
+      (String.concat ", " fields)
+
+type diff_case = {
+  d_cfg : Sim.config;
+  d_policy : Policy.t;
+  d_service : float array;
+}
+
+let print_diff_case c =
+  Printf.sprintf "cores=%d %s %s rate=%h requests=%d warmup=%g seed=%d service=[%s] policy=%s"
+    c.d_cfg.Sim.cores
+    (Arrival.name c.d_cfg.Sim.arrival)
+    (Dispatch.name c.d_cfg.Sim.dispatch)
+    c.d_cfg.Sim.rate c.d_cfg.Sim.requests c.d_cfg.Sim.warmup_frac
+    c.d_cfg.Sim.seed
+    (String.concat ";" (Array.to_list (Array.map (Printf.sprintf "%h") c.d_service)))
+    (Policy.to_key c.d_policy)
+
+let gen_admission =
+  QCheck.Gen.(
+    oneof
+      [
+        return Policy.Always;
+        map (fun l -> Policy.Queue_limit l) (int_range 1 8);
+        return Policy.Deadline_aware;
+      ])
+
+(* Every knob of a sweep point: 1-8 cores, both arrival processes, all
+   dispatch and admission policies, no deadline or 5-40x the all-busy
+   service time, 0-3 retries, jitter 0 or 0.5, 1-3,000 requests, and
+   offered load 0.3-1.6x capacity. *)
+let gen_diff_case =
+  QCheck.Gen.(
+    let* cores = int_range 1 8 in
+    let* arrival = oneofl Arrival.all in
+    let* dispatch = oneofl Dispatch.all in
+    let* base = float_range 1e-3 2e-2 in
+    let* inflation = float_range 0.0 0.5 in
+    let service =
+      Array.init cores (fun k -> base *. (1.0 +. (inflation *. float_of_int k)))
+    in
+    let all_busy = service.(cores - 1) in
+    let* deadline = opt (float_range 5.0 40.0) in
+    let* max_retries = int_range 0 3 in
+    let* jitter = oneofl [ 0.0; 0.5 ] in
+    let* admission = gen_admission in
+    let* requests = int_range 1 3000 in
+    let* load = float_range 0.3 1.6 in
+    let* warmup_frac = oneofl [ 0.0; 0.1; 0.5 ] in
+    let* seed = int_range 0 1_000_000 in
+    let rate = load *. Contention.capacity ~cores service in
+    return
+      {
+        d_cfg = { Sim.cores; arrival; dispatch; rate; requests; warmup_frac; seed };
+        d_policy =
+          Policy.make
+            ?deadline:(Option.map (fun f -> f *. all_busy) deadline)
+            ~max_retries ~jitter ~admission ();
+        d_service = service;
+      })
+
+let prop_sim_matches_reference =
+  QCheck.Test.make ~count:300 ~name:"Sim.run = reference model"
+    (QCheck.make ~print:print_diff_case gen_diff_case)
+    (fun c ->
+      agrees
+        (Sim.run ~policy:c.d_policy c.d_cfg ~service:c.d_service)
+        (Sim_oracle.run ~policy:c.d_policy c.d_cfg ~service:c.d_service))
+
+(* Random draws almost never put two events on one instant.  On a coarse
+   dyadic grid every sum is exact, so arrivals, departures, timeouts and
+   retries collide all the time and each tie-break rule is exercised. *)
+type grid_case = {
+  g_cfg : Sim.config;
+  g_policy : Policy.t;
+  g_service : float array;
+  g_arrivals : float array;
+  g_mult : float array;
+  g_flow : int array;
+}
+
+let floats a = String.concat ";" (Array.to_list (Array.map string_of_float a))
+
+let print_grid_case c =
+  Printf.sprintf "cores=%d %s policy=%s service=[%s] arrivals=[%s] mult=[%s] flow=[%s]"
+    c.g_cfg.Sim.cores
+    (Dispatch.name c.g_cfg.Sim.dispatch)
+    (Policy.to_key c.g_policy) (floats c.g_service) (floats c.g_arrivals)
+    (floats c.g_mult)
+    (String.concat ";" (Array.to_list (Array.map string_of_int c.g_flow)))
+
+let gen_grid_case =
+  QCheck.Gen.(
+    let* cores = int_range 1 4 in
+    let* dispatch = oneofl Dispatch.all in
+    let* requests = int_range 1 200 in
+    let* service = array_repeat cores (oneofl [ 0.25; 0.5; 1.0; 1.5 ]) in
+    let* gaps = array_repeat requests (oneofl [ 0.0; 0.25; 0.5; 1.0 ]) in
+    let arrivals = Array.copy gaps in
+    for i = 1 to requests - 1 do
+      arrivals.(i) <- arrivals.(i - 1) +. gaps.(i)
+    done;
+    let* mult = array_repeat requests (oneofl [ 0.5; 1.0; 2.0 ]) in
+    let* flow = array_repeat requests (int_range 0 ((8 * cores) - 1)) in
+    let* deadline = opt (oneofl [ 1.0; 2.0; 3.0 ]) in
+    let* max_retries = int_range 0 3 in
+    let* backoff_base = oneofl [ 0.25; 0.5; 1.0 ] in
+    let* cap_factor = oneofl [ 1.0; 2.0; 4.0 ] in
+    let* jitter = oneofl [ 0.0; 0.0; 0.5 ] in
+    let* admission = gen_admission in
+    let* seed = int_range 0 1000 in
+    return
+      {
+        g_cfg =
+          {
+            Sim.cores;
+            arrival = Arrival.Poisson;
+            dispatch;
+            rate = 1.0;
+            requests;
+            warmup_frac = 0.0;
+            seed;
+          };
+        g_policy =
+          Policy.make ?deadline ~max_retries ~backoff_base
+            ~backoff_cap:(backoff_base *. cap_factor) ~jitter ~admission ();
+        g_service = service;
+        g_arrivals = arrivals;
+        g_mult = mult;
+        g_flow = flow;
+      })
+
+let prop_sim_matches_reference_on_ties =
+  QCheck.Test.make ~count:500 ~name:"Sim.replay = reference model on a tie-dense grid"
+    (QCheck.make ~print:print_grid_case gen_grid_case)
+    (fun c ->
+      let replay run =
+        run ?policy:(Some c.g_policy) c.g_cfg ~service:c.g_service
+          ~arrivals:c.g_arrivals ~mult:c.g_mult ~flow:c.g_flow
+      in
+      agrees (replay Sim.replay) (replay Sim_oracle.replay))
+
+let replay_both ~policy ~service ~arrivals ~mult =
+  let n = Array.length arrivals in
+  let cfg = cfg ~requests:n ~warmup_frac:0.0 ~rate:1.0 () in
+  let flow = Array.make n 0 in
+  let fast = Sim.replay ~policy cfg ~service ~arrivals ~mult ~flow in
+  check_agrees "replay" fast
+    (Sim_oracle.replay ~policy cfg ~service ~arrivals ~mult ~flow);
+  fast
+
+let test_tie_departure_before_arrival () =
+  (* One core, one-deep admission: the first request leaves at t = 1,
+     the instant the second arrives.  The departure goes first, so the
+     second finds the core free and is admitted, not shed. *)
+  let o =
+    replay_both
+      ~policy:(Policy.make ~admission:(Policy.Queue_limit 1) ())
+      ~service:[| 1.0 |] ~arrivals:[| 0.0; 1.0 |] ~mult:[| 1.0; 1.0 |]
+  in
+  Alcotest.(check int) "no shed" 0 o.Sim.sheds;
+  Alcotest.(check int) "both served" 2 o.Sim.ok;
+  Alcotest.(check int) "never two in the system" 1 o.Sim.max_outstanding
+
+let test_tie_timeout_before_retry () =
+  (* One core, one-deep admission, deadline 3, every backoff 2, no
+     jitter.  A (4 s of work) arrives at 0 and is admitted; B (1 s)
+     arrives at 1, is shed and retries at 3 — the instant A's timeout
+     fires.  The timeout was pushed first, so it goes first: A's retry
+     is pushed before B's next one, both land at 5, and A's wins the
+     core.  A then times out on every try and B is shed on every try:
+     no request succeeds.  Served the other way round, B's 1 s retry
+     would take the core at 5 and succeed. *)
+  let policy =
+    Policy.make ~deadline:3.0 ~max_retries:2 ~backoff_base:2.0 ~backoff_cap:2.0
+      ~jitter:0.0 ~admission:(Policy.Queue_limit 1) ()
+  in
+  let o =
+    replay_both ~policy ~service:[| 4.0 |] ~arrivals:[| 0.0; 1.0 |]
+      ~mult:[| 1.0; 0.25 |]
+  in
+  Alcotest.(check int) "ok" 0 o.Sim.ok;
+  Alcotest.(check int) "timeouts" 3 o.Sim.timeouts;
+  Alcotest.(check int) "sheds" 3 o.Sim.sheds;
+  Alcotest.(check int) "give-ups" 2 o.Sim.give_ups
+
+let test_replay_validation () =
+  let raises f =
+    match f () with _ -> false | exception Invalid_argument _ -> true
+  in
+  let c = cfg ~requests:2 () in
+  let service = flat_service 1 0.01 in
+  let replay ?(arrivals = [| 0.0; 1.0 |]) ?(mult = [| 1.0; 1.0 |])
+      ?(flow = [| 0; 0 |]) () =
+    Sim.replay c ~service ~arrivals ~mult ~flow
+  in
+  Alcotest.(check bool) "valid" false (raises (fun () -> replay ()));
+  Alcotest.(check bool) "short arrivals" true
+    (raises (fun () -> replay ~arrivals:[| 0.0 |] ()));
+  Alcotest.(check bool) "decreasing arrivals" true
+    (raises (fun () -> replay ~arrivals:[| 1.0; 0.0 |] ()));
+  Alcotest.(check bool) "zero multiplier" true
+    (raises (fun () -> replay ~mult:[| 1.0; 0.0 |] ()));
+  Alcotest.(check bool) "negative flow" true
+    (raises (fun () -> replay ~flow:[| 0; -1 |] ()))
+
+(* The serve loop allocates nothing per event beyond a boxed histogram
+   sample, a jitter draw and the pre-drawn service multiplier; the old
+   core allocated 30-42 minor words per attempt on this point. *)
+let test_sim_allocation_bound () =
+  let cores = 8 in
+  let service =
+    Array.init cores (fun k -> 0.01 *. (1.0 +. (0.1 *. float_of_int k)))
+  in
+  let c =
+    cfg ~cores ~dispatch:Dispatch.Least_loaded
+      ~rate:(1.3 *. Contention.capacity ~cores service)
+      ~requests:20_000 ()
+  in
+  let policy =
+    Policy.make ~deadline:(10.0 *. service.(cores - 1)) ~max_retries:3 ()
+  in
+  let w0 = Gc.minor_words () in
+  let o = Sim.run ~policy c ~service in
+  let per_attempt = (Gc.minor_words () -. w0) /. float_of_int o.Sim.attempts in
+  Alcotest.(check bool) "retries happened" true (o.Sim.attempts > c.Sim.requests);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f minor words per attempt <= 8" per_attempt)
+    true (per_attempt <= 8.0)
+
 (* --- Sweep codec --- *)
 
 let gen_point =
@@ -341,8 +625,6 @@ let test_sweep_max_sustainable () =
   Alcotest.(check (option (float 1e-9))) "empty" None (Sweep.max_sustainable [])
 
 (* --- Policy --- *)
-
-module Policy = Mm_serve.Policy
 
 let test_policy_none_is_degenerate () =
   (* Explicit Policy.none equals the default: same histogram, and every
@@ -658,6 +940,18 @@ let () =
             test_sim_p99_monotone_in_load;
           Alcotest.test_case "contention hurts" `Quick
             test_sim_contention_hurts;
+          Alcotest.test_case "allocation bound" `Quick
+            test_sim_allocation_bound;
+        ] );
+      ( "reference",
+        [
+          QCheck_alcotest.to_alcotest prop_sim_matches_reference;
+          QCheck_alcotest.to_alcotest prop_sim_matches_reference_on_ties;
+          Alcotest.test_case "tie: departure before arrival" `Quick
+            test_tie_departure_before_arrival;
+          Alcotest.test_case "tie: timeout before retry" `Quick
+            test_tie_timeout_before_retry;
+          Alcotest.test_case "replay validation" `Quick test_replay_validation;
         ] );
       ( "sweep",
         [

@@ -359,8 +359,18 @@ let test_uncreatable_dir_counts_as_failed_write () =
            sweep_of i)
       = sweep_of i)
   done;
-  Alcotest.(check bool) "degraded after 8 failed writes" true
+  Alcotest.(check bool) "degraded after 8 failed reads and writes" true
     (Ctx.store_degraded ctx)
+
+let test_unreadable_dir_counts_as_failed_read () =
+  (* An entry path under a regular file fails with ENOTDIR, not ENOENT:
+     a read error, retried and counted, not a plain miss. *)
+  let file = Filename.temp_file "mmstudy-test-store" ".file" in
+  let s = Store.open_ ~dir:(Filename.concat file "cache") ~fingerprint:fp () in
+  Alcotest.(check (option string)) "miss" None (Store.find s ~key:"k");
+  Alcotest.(check int) "read failure counted" 1
+    (Store.health s).Store.read_failures;
+  Sys.remove file
 
 let test_context_degrades_when_store_unavailable () =
   (* A store that always fails: the context absorbs a bounded number of
@@ -813,6 +823,8 @@ let () =
             test_context_degrades_when_store_unavailable;
           Alcotest.test_case "uncreatable store dir counts as failed write"
             `Quick test_uncreatable_dir_counts_as_failed_write;
+          Alcotest.test_case "unreadable store dir counts as failed read"
+            `Quick test_unreadable_dir_counts_as_failed_read;
           Alcotest.test_case "faults change no measurement byte" `Quick
             test_faults_change_no_measurement_byte;
           Alcotest.test_case "fingerprint shape" `Quick
